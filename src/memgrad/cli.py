@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -64,22 +65,11 @@ def _run_config_command(args, expected_kind: str) -> int:
     for entry in cfg.bounds:
         spec = theory.BoundSpec(entry["kind"], entry.get("params", {}))
         report = harness.check_bounds(result.traces, spec, method=entry["method"])
-        line = (
-            f"bound {entry['kind']} on {entry['method']}: {report.status}"
-            f" (checked={report.n_checked}, violations={report.n_violations})"
-        )
-        print(line)
+        print(f"bound {entry['kind']} on {entry['method']}: {report.status}"
+              f" ({report.summary()})")
         if report.status == "violations":
             failures += 1
     return 1 if failures else 0
-
-
-def _cmd_optimize(args) -> int:
-    return _run_config_command(args, "optimize")
-
-
-def _cmd_simulate(args) -> int:
-    return _run_config_command(args, "simulate")
 
 
 def _cmd_variance_ode(args) -> int:
@@ -187,11 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="run discrete optimization methods")
     _common_flags(p)
-    p.set_defaults(func=_cmd_optimize)
+    p.set_defaults(func=partial(_run_config_command, expected_kind="optimize"))
 
     p = sub.add_parser("simulate", help="integrate ODE/SDE trajectories")
     _common_flags(p)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=partial(_run_config_command, expected_kind="simulate"))
 
     p = sub.add_parser("variance-ode", help="integrate the second-moment ODEs")
     _common_flags(p)

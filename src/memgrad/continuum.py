@@ -28,6 +28,7 @@ from memgrad.memory import MemoryFunction
 
 __all__ = [
     "PhaseState",
+    "MODELS",
     "SdeSpec",
     "SecondMomentState",
     "TrajectoryResult",
@@ -64,6 +65,11 @@ class PhaseState:
     t: float
 
 
+# Model name -> name of its constructor below, looked up on this module at
+# each use (bench/spans.py traces by replacing module attributes).
+MODELS = {"nesterov": "nesterov_sde", "mg": "memory_sde", "hb_ode": "hb_sde"}
+
+
 @dataclass(frozen=True)
 class SdeSpec:
     """A phase-space model, its gradient field, and its volatility.
@@ -85,7 +91,7 @@ class SdeSpec:
     eps_start: float = 1e-12
 
     def __post_init__(self):
-        if self.model not in ("hb_ode", "nesterov", "mg"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "hb_ode" and self.viscosity is None:
             raise ValueError("hb_ode needs a viscosity a(t)")

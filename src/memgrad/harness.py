@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from memgrad import continuum, optimizers, problems
 from memgrad.memory import MemoryFunction
-from memgrad.theory import BoundSpec
+from memgrad.theory import BOUND_KINDS, BoundSpec
 
 __all__ = [
     "ExperimentConfig",
@@ -53,16 +54,41 @@ def _fmt(x: float) -> str:
 # Configuration
 # ----------------------------------------------------------------------
 
+# Config method name -> ``optimizers`` stepper, and the problem names,
+# which are ``problems`` builders (SDE models are ``continuum.MODELS``).
+# The signatures declare the parameters.  Functions are looked up at each
+# use, because bench/spans.py traces by replacing module attributes.
+METHODS = {
+    "sgd": "sgd_step",
+    "hb": "hb_step",
+    "memsgd": "memsgd_p_step",
+    "unbiased_hb": "unbiased_hb_step",
+    "adam": "adam_step",
+    "adagrad": "adagrad_step",
+    "adamnc": "adamnc_step",
+    "polyadam": "polyadam_step",
+}
+PROBLEMS = ("quadratic_diag", "quartic_2d", "constant_field", "logistic_synthetic")
+
+# The keys each config section may hold.
+SECTION_KEYS = {
+    "problem": {"name", "params", "noise"},
+    "problem.noise": {"kind", "sigma"},
+    "methods": {"name", "params", "grid"},
+    "run": {"kind", "iterations", "t_end", "h", "x0", "v0", "n_seeds",
+            "record_stride", "eps_start"},
+    "output": {"directory", "formats"},
+    "bounds": {"kind", "method", "params"},
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of a batch of runs.
 
-    ``problem``: {"name", "params", "noise": {"kind", "sigma", ...}}
-    ``methods``: list of {"name", "params"} or {"name", "grid": {p: [..]}}
-    ``run``: {"kind": "optimize"|"simulate", "iterations" | ("t_end","h"),
-              "x0", "v0", "n_seeds", "record_stride", "eps_start"}
-    ``output``: {"directory", "formats"}
-    ``tolerances``: free-form overrides echoed into reports.
+    ``SECTION_KEYS`` declares the keys of each section; ``tolerances`` is
+    free-form and echoed into the hash.  A ``methods`` entry's ``grid`` maps
+    params to value lists and expands to one method per combination.
     """
 
     problem: dict
@@ -73,22 +99,15 @@ class ExperimentConfig:
     bounds: list = field(default_factory=list)
     master_seed: int = 0
 
+    def __post_init__(self):
+        self.master_seed = int(self.master_seed)
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {"problem", "methods", "run", "output", "tolerances", "bounds",
-                 "master_seed"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(
-            problem=raw["problem"],
-            methods=raw["methods"],
-            run=raw["run"],
-            output=raw.get("output", {"directory": "out", "formats": ["csv"]}),
-            tolerances=raw.get("tolerances", {}),
-            bounds=raw.get("bounds", []),
-            master_seed=int(raw.get("master_seed", 0)),
-        )
+        try:
+            cfg = cls(**raw)
+        except TypeError as err:
+            raise ValueError(f"config: {err}") from None
         cfg.validate()
         return cfg
 
@@ -98,15 +117,7 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "methods": self.methods,
-            "run": self.run,
-            "output": self.output,
-            "tolerances": self.tolerances,
-            "bounds": self.bounds,
-            "master_seed": self.master_seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -114,19 +125,46 @@ class ExperimentConfig:
             fh.write("\n")
 
     def validate(self) -> None:
+        """Reject a config that would fail or silently ignore part of itself.
+
+        Every section is checked against its key set in ``SECTION_KEYS``,
+        and every method's, model's and problem's params are bound against
+        the signature of the function they select.  The ValueError names
+        the section or method label and the offending key.
+        """
         kind = self.run.get("kind", "optimize")
         if kind not in ("optimize", "simulate"):
             raise ValueError(f"unknown run kind {kind!r}")
-        if kind == "optimize" and "iterations" not in self.run:
-            raise ValueError("optimize runs need run.iterations")
-        if kind == "simulate" and ("t_end" not in self.run or "h" not in self.run):
-            raise ValueError("simulate runs need run.t_end and run.h")
-        if "x0" not in self.run:
-            raise ValueError("run.x0 is required")
+        required = ("x0", "iterations") if kind == "optimize" else ("x0", "t_end", "h")
+        _check_keys("run", self.run, required)
+        _check_keys("output", self.output)
+        _check_keys("problem", self.problem, ("name",))
+        noise = self.problem.get("noise", {})
+        _check_keys("problem.noise", noise)
+        name = self.problem["name"]
+        try:
+            _bind(_problem_builder(name), **self.problem.get("params", {}))
+            _noise_model(noise)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"problem {name}: {err}") from None
         if not self.methods:
             raise ValueError("at least one method is required")
-        for entry in self.expanded_methods():
-            _ = entry  # expansion itself validates grids
+        for entry in self.methods:
+            _check_keys("methods", entry, ("name",))
+        for label, name, params in self.expanded_methods():
+            try:
+                fn, kwargs = _method_call(kind, name, params)
+                # None stands in for the arguments that a run supplies.
+                run_supplied = {} if kind == "optimize" else {"eps_start": None}
+                _bind(fn, None, None, **run_supplied, **kwargs)
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"method {label}: {err}") from None
+        for entry in self.bounds:
+            _check_keys("bounds", entry, ("kind", "method"))
+            try:
+                BoundSpec(entry["kind"], entry.get("params", {}))
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"bounds: {err}") from None
 
     def config_hash(self) -> str:
         """Content hash of the canonical serialized config."""
@@ -155,6 +193,26 @@ class ExperimentConfig:
         return out
 
 
+def _check_keys(section: str, given: dict, required=()) -> None:
+    unknown = sorted(set(given) - SECTION_KEYS[section])
+    if unknown:
+        raise ValueError(f"{section}: unknown keys {unknown}")
+    missing = [key for key in required if key not in given]
+    if missing:
+        raise ValueError(f"{section}: missing keys {missing}")
+
+
+def _bind(fn, *args, **kwargs) -> None:
+    """Raise TypeError, naming the key, unless fn takes these arguments.
+
+    Unknown keys are reported before missing ones, because a misspelt key
+    also leaves the parameter it meant missing.
+    """
+    signature = inspect.signature(fn)
+    signature.bind_partial(*args, **kwargs)
+    signature.bind(*args, **kwargs)
+
+
 def _method_label(name: str, params: dict) -> str:
     if not params:
         return name
@@ -162,26 +220,45 @@ def _method_label(name: str, params: dict) -> str:
     return f"{name}({inner})"
 
 
-def build_objective(problem_cfg: dict) -> tuple[problems.Objective, problems.NoiseModel]:
-    """Instantiate the configured objective and its noise model."""
-    name = problem_cfg["name"]
-    params = dict(problem_cfg.get("params", {}))
-    builders = {
-        "quadratic_diag": problems.quadratic_diag,
-        "quartic_2d": problems.quartic_2d,
-        "constant_field": problems.constant_field,
-        "logistic_synthetic": problems.logistic_synthetic,
-    }
-    if name not in builders:
+def _method_call(kind: str, name: str, params: dict):
+    """The stepper or SDE-model constructor a method entry selects, and the
+    keyword arguments its params become.
+
+    For models, ``memory`` and ``memory_param`` become one MemoryFunction
+    and a list ``sigma`` becomes an array; the run adds ``eps_start``.
+    """
+    kwargs = dict(params)
+    if kind == "optimize":
+        if name not in METHODS:
+            raise ValueError(f"{name!r} is not valid for optimize runs")
+        return getattr(optimizers, METHODS[name]), kwargs
+    if name not in continuum.MODELS:
+        raise ValueError(f"{name!r} is not valid for simulate runs")
+    if isinstance(kwargs.get("sigma"), list):
+        kwargs["sigma"] = np.asarray(kwargs["sigma"], dtype=float)
+    if "memory" in kwargs:
+        kwargs["memory"] = MemoryFunction.from_name(kwargs["memory"],
+                                                    kwargs.pop("memory_param", None))
+    return getattr(continuum, continuum.MODELS[name]), kwargs
+
+
+def _problem_builder(name: str):
+    if name not in PROBLEMS:
         raise ValueError(f"unknown problem {name!r}")
-    obj = builders[name](**params)
-    noise_cfg = problem_cfg.get("noise", {"kind": "none"})
+    return getattr(problems, name)
+
+
+def _noise_model(noise_cfg: dict) -> problems.NoiseModel:
     sigma = noise_cfg.get("sigma")
     if isinstance(sigma, list):
         sigma = np.asarray(sigma, dtype=float)
-    noise = problems.NoiseModel(kind=noise_cfg.get("kind", "none"), sigma=sigma,
-                                seed=int(noise_cfg.get("seed", 0)))
-    return obj, noise
+    return problems.NoiseModel(kind=noise_cfg.get("kind", "none"), sigma=sigma)
+
+
+def build_objective(problem_cfg: dict) -> tuple[problems.Objective, problems.NoiseModel]:
+    """Instantiate the configured objective and its noise model."""
+    obj = _problem_builder(problem_cfg["name"])(**problem_cfg.get("params", {}))
+    return obj, _noise_model(problem_cfg.get("noise", {}))
 
 
 # ----------------------------------------------------------------------
@@ -296,36 +373,6 @@ def _run_rng(master_seed: int, run_id: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_STEPPERS = {
-    "sgd": lambda st, g, p: optimizers.sgd_step(st, g, eta=p["eta"]),
-    "hb": lambda st, g, p: optimizers.hb_step(st, g, eta=p["eta"], beta=p["beta"]),
-    "memsgd": lambda st, g, p: optimizers.memsgd_p_step(
-        st, g, eta=p["eta"], p=p["p"], allow_small_p=p.get("allow_small_p", False),
-        lipschitz=p.get("lipschitz"),
-    ),
-    "unbiased_hb": lambda st, g, p: optimizers.unbiased_hb_step(
-        st, g, eta=p["eta"], beta=p["beta"], mode=p.get("mode", "exact"),
-    ),
-    "adam": lambda st, g, p: optimizers.adam_step(
-        st, g, eta=p["eta"], beta1=p.get("beta1", 0.9), beta2=p.get("beta2", 0.999),
-        eps=p.get("eps", 1e-8), eps_outside_root=p.get("eps_outside_root", False),
-    ),
-    "adagrad": lambda st, g, p: optimizers.adagrad_step(
-        st, g, eta=p["eta"], eps=p.get("eps", 1e-8),
-    ),
-    "adamnc": lambda st, g, p: optimizers.adamnc_step(
-        st, g, eta=p["eta"], beta1=p.get("beta1", 0.9), eps=p.get("eps", 1e-8),
-    ),
-    "polyadam": lambda st, g, p: optimizers.polyadam_step(
-        st, g, eta=p["eta"], beta1=p.get("beta1", 0.9), p2=p["p2"],
-        eps=p.get("eps", 1e-8), allow_small_p=p.get("allow_small_p", False),
-    ),
-}
-
-DISCRETE_METHODS = tuple(sorted(_STEPPERS))
-SDE_MODELS = ("nesterov", "mg", "hb_ode")
-
-
 def _record_point(obj, index, time, x, step_norm) -> Record:
     try:
         f_gap = obj.f_gap(x)
@@ -349,8 +396,7 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
     rng = _run_rng(master_seed, run_id)
     iterations = int(run_cfg["iterations"])
     stride = int(run_cfg.get("record_stride", 1))
-    stepper = _STEPPERS[name]
-    params = dict(params)
+    stepper, params = _method_call("optimize", name, params)
     if name == "memsgd" and "lipschitz" not in params and obj.L is not None:
         params["lipschitz"] = obj.L
     state = optimizers.OptimizerState.initial(np.asarray(run_cfg["x0"], dtype=float))
@@ -360,7 +406,7 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
         with np.errstate(over="ignore", invalid="ignore"):
             g = problems.stochastic_gradient(obj, noise, state.x, rng)
             try:
-                state = stepper(state, g, params)
+                state = stepper(state, g, **params)
             except optimizers.NonFiniteGradientError:
                 status, diverged_at = "diverged", k + 1
                 break
@@ -375,27 +421,12 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
                  status=status, diverged_at=diverged_at)
 
 
-def _build_sde_spec(name, params, obj, run_cfg) -> continuum.SdeSpec:
-    sigma = params.get("sigma")
-    if isinstance(sigma, list):
-        sigma = np.asarray(sigma, dtype=float)
-    eps_start = float(run_cfg.get("eps_start", 1e-12))
-    if name == "nesterov":
-        return continuum.nesterov_sde(obj.grad, obj.dim, sigma=sigma,
-                                      eps_start=eps_start)
-    if name == "mg":
-        memory = MemoryFunction.from_name(params["memory"],
-                                          params.get("memory_param"))
-        return continuum.memory_sde(obj.grad, obj.dim, memory, sigma=sigma,
-                                    eps_start=eps_start)
-    return continuum.hb_sde(obj.grad, obj.dim, viscosity=params["viscosity"],
-                            sigma=sigma, eps_start=eps_start)
-
-
 def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, seed):
     run_id = f"{label}|seed={seed}"
     rng = _run_rng(master_seed, run_id)
-    spec = _build_sde_spec(name, params, obj, run_cfg)
+    build, kwargs = _method_call("simulate", name, params)
+    spec = build(obj.grad, obj.dim, eps_start=float(run_cfg.get("eps_start", 1e-12)),
+                 **kwargs)
     x0 = np.asarray(run_cfg["x0"], dtype=float)
     v0 = np.asarray(run_cfg.get("v0", np.zeros_like(x0)), dtype=float)
     stride = int(run_cfg.get("record_stride", 1))
@@ -434,13 +465,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     kind = config.run.get("kind", "optimize")
     n_seeds = int(config.run.get("n_seeds", 1))
     execute = _execute_optimize if kind == "optimize" else _execute_simulate
-    valid = DISCRETE_METHODS if kind == "optimize" else SDE_MODELS
-    tasks = []
-    for label, name, params in config.expanded_methods():
-        if name not in valid:
-            raise ValueError(f"method {name!r} is not valid for {kind} runs")
-        for seed in range(n_seeds):
-            tasks.append((label, name, params, seed))
+    tasks = [(label, name, params, seed)
+             for label, name, params in config.expanded_methods()
+             for seed in range(n_seeds)]
 
     def run_one(task):
         label, name, params, seed = task
@@ -461,15 +488,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 # Bound checking
 # ----------------------------------------------------------------------
 
-_BOUND_METHOD_FAMILIES = {
-    "memsgd_discrete": ("memsgd",),
-    "poly_continuous": ("mg",),
-    "exp_cesaro": ("mg", "hb_ode"),
-    "strongly_convex_mg": ("mg",),
-    "strongly_convex_hb": ("hb_ode", "nesterov"),
-}
-
-
 @dataclass
 class BoundCheckReport:
     status: str  # "ok" | "violations" | "cannot_check"
@@ -480,6 +498,14 @@ class BoundCheckReport:
     max_relative_excess: float = 0.0
     first_violation_index: float | None = None
     reason: str = ""
+
+    def summary(self) -> str:
+        """Counts and, if the bound fails, where it first fails and by how much."""
+        text = f"checked={self.n_checked}, violations={self.n_violations}"
+        if self.n_violations:
+            text += (f", first_violation_index={self.first_violation_index:g}"
+                     f", max_relative_excess={self.max_relative_excess:.3e}")
+        return text
 
 
 def check_bounds(traces: list[Trace], bound: BoundSpec, method: str,
@@ -493,7 +519,7 @@ def check_bounds(traces: list[Trace], bound: BoundSpec, method: str,
     ``cannot_check`` status rather than a pass.
     """
     base = method.split("(", 1)[0]
-    families = _BOUND_METHOD_FAMILIES[bound.kind]
+    families = BOUND_KINDS[bound.kind]
     if base not in families:
         return BoundCheckReport(
             status="cannot_check", method=method, kind=bound.kind,

@@ -18,9 +18,6 @@ import numpy as np
 __all__ = [
     "MemoryFunction",
     "UnsupportedKindError",
-    "m_value",
-    "m_dot",
-    "ode_coefficient",
     "continuous_weight",
     "weight_normalization",
     "discrete_weights_memsgd",
@@ -183,21 +180,6 @@ class MemoryFunction:
             ta = np.power(t, a)
             return a * np.power(t, a - 1.0) / -np.expm1(-ta)
         raise UnsupportedKindError("instantaneous forgetting has no ODE coefficient")
-
-
-def m_value(mf: MemoryFunction, t):
-    """Evaluate m(t).  Rejects the instantaneous kind."""
-    return mf.value(t)
-
-
-def m_dot(mf: MemoryFunction, t):
-    """Evaluate m'(t)."""
-    return mf.derivative(t)
-
-
-def ode_coefficient(mf: MemoryFunction, t):
-    """Evaluate m'(t)/m(t) for t > 0."""
-    return mf.ode_coefficient(t)
 
 
 def continuous_weight(mf: MemoryFunction, s, t):

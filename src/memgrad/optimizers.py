@@ -10,13 +10,12 @@ momentum method a plain gradient step.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "OptimizerState",
-    "StepReport",
     "NonFiniteGradientError",
     "sgd_step",
     "hb_step",
@@ -30,7 +29,7 @@ __all__ = [
 
 
 class NonFiniteGradientError(RuntimeError):
-    """A gradient with NaN or infinite entries would poison the state."""
+    """A gradient or a new iterate has NaN or infinite entries."""
 
 
 @dataclass(frozen=True)
@@ -63,28 +62,26 @@ class OptimizerState:
         return self.x.size
 
 
-@dataclass(frozen=True)
-class StepReport:
-    """What one step did: displacement, gradient consumed, weight mass."""
-
-    step_vector: np.ndarray
-    grad_used: np.ndarray
-    effective_weights_sum: float = float("nan")
-
-    @classmethod
-    def from_states(cls, before: OptimizerState, after: OptimizerState, g,
-                    effective_weights_sum: float = float("nan")) -> "StepReport":
-        return cls(after.x - before.x, np.asarray(g, dtype=float),
-                   effective_weights_sum)
-
-
 def _checked_gradient(state: OptimizerState, g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != state.x.shape:
         raise ValueError(f"gradient shape {g.shape} != iterate shape {state.x.shape}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteGradientError("gradient contains NaN or inf")
     return g
+
+
+def _next_state(state: OptimizerState, x_new, m1=None, m2=None) -> OptimizerState:
+    """The state after one step to ``x_new``, keeping the moments not given.
+
+    Every stepper returns through here, so each reports a non-finite
+    iterate at the step that made it.
+    """
+    if not np.isfinite(x_new).all():
+        raise NonFiniteGradientError("iterate diverged to non-finite values")
+    return OptimizerState(x_new, state.x, state.k + 1,
+                          state.m1 if m1 is None else m1,
+                          state.m2 if m2 is None else m2)
 
 
 def sgd_step(state: OptimizerState, g, eta: float) -> OptimizerState:
@@ -92,7 +89,7 @@ def sgd_step(state: OptimizerState, g, eta: float) -> OptimizerState:
     g = _checked_gradient(state, g)
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
-    return replace(state, x=state.x - eta * g, x_prev=state.x, k=state.k + 1)
+    return _next_state(state, state.x - eta * g)
 
 
 def hb_step(state: OptimizerState, g, eta: float, beta: float) -> OptimizerState:
@@ -107,9 +104,7 @@ def hb_step(state: OptimizerState, g, eta: float, beta: float) -> OptimizerState
     if not (0.0 <= beta <= 1.0):
         raise ValueError(f"momentum beta must lie in [0, 1], got {beta}")
     x_new = state.x + beta * (state.x - state.x_prev) - eta * g
-    if not np.all(np.isfinite(x_new)):
-        raise NonFiniteGradientError("iterate diverged to non-finite values")
-    return replace(state, x=x_new, x_prev=state.x, k=state.k + 1)
+    return _next_state(state, x_new)
 
 
 def memsgd_p_step(
@@ -148,9 +143,7 @@ def memsgd_p_step(
     momentum = k / (k + p)
     discount = p / (k + p)
     x_new = state.x + momentum * (state.x - state.x_prev) - discount * eta * g
-    if not np.all(np.isfinite(x_new)):
-        raise NonFiniteGradientError("iterate diverged to non-finite values")
-    return replace(state, x=x_new, x_prev=state.x, k=k + 1)
+    return _next_state(state, x_new)
 
 
 def unbiased_hb_step(
@@ -181,9 +174,7 @@ def unbiased_hb_step(
         x_new = state.x - eta * corrected
     else:
         x_new = state.x + beta * (state.x - state.x_prev) - eta * (1.0 - beta) * g
-    if not np.all(np.isfinite(x_new)):
-        raise NonFiniteGradientError("iterate diverged to non-finite values")
-    return replace(state, x=x_new, x_prev=state.x, k=state.k + 1, m1=m1)
+    return _next_state(state, x_new, m1=m1)
 
 
 def adam_step(
@@ -219,7 +210,7 @@ def adam_step(
     else:
         denom = np.sqrt(vhat + eps)
     x_new = state.x - eta * mhat / denom
-    return replace(state, x=x_new, x_prev=state.x, k=k + 1, m1=m1, m2=m2)
+    return _next_state(state, x_new, m1=m1, m2=m2)
 
 
 def adagrad_step(state: OptimizerState, g, eta: float, eps: float = 1e-8) -> OptimizerState:
@@ -232,7 +223,7 @@ def adagrad_step(state: OptimizerState, g, eta: float, eps: float = 1e-8) -> Opt
         raise ValueError("eta and eps must be > 0")
     m2 = state.m2 + g * g
     x_new = state.x - eta * g / np.sqrt(m2 + eps)
-    return replace(state, x=x_new, x_prev=state.x, k=state.k + 1, m2=m2)
+    return _next_state(state, x_new, m2=m2)
 
 
 def adamnc_step(
@@ -265,14 +256,15 @@ def adamnc_step(
     else:
         denom = np.sqrt(m2 + eps)
     x_new = state.x - eta * mhat / denom
-    return replace(state, x=x_new, x_prev=state.x, k=k + 1, m1=m1, m2=m2)
+    return _next_state(state, x_new, m1=m1, m2=m2)
 
 
 def polyadam_step(
     state: OptimizerState,
     g,
     eta: float,
-    beta1: float,
+    beta1: float = 0.9,
+    *,
     p2: float,
     eps: float = 1e-8,
     allow_small_p: bool = False,
@@ -308,4 +300,4 @@ def polyadam_step(
     else:
         denom = np.sqrt(m2 + eps)
     x_new = state.x - eta * mhat / denom
-    return replace(state, x=x_new, x_prev=state.x, k=k + 1, m1=m1, m2=m2)
+    return _next_state(state, x_new, m1=m1, m2=m2)

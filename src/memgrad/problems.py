@@ -68,7 +68,6 @@ class NoiseModel:
 
     kind: str = "none"
     sigma: float | np.ndarray | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "finite_sum"):

@@ -26,13 +26,15 @@ __all__ = [
     "variance_reduction_factor",
 ]
 
-BOUND_KINDS = (
-    "memsgd_discrete",
-    "poly_continuous",
-    "exp_cesaro",
-    "strongly_convex_mg",
-    "strongly_convex_hb",
-)
+# Bound kind -> the config method names (discrete methods or SDE models)
+# whose trajectories the bound constrains.
+BOUND_KINDS = {
+    "memsgd_discrete": ("memsgd",),
+    "poly_continuous": ("mg",),
+    "exp_cesaro": ("mg", "hb_ode"),
+    "strongly_convex_mg": ("mg",),
+    "strongly_convex_hb": ("hb_ode", "nesterov"),
+}
 
 
 def memsgd_rate_bound(
@@ -208,9 +210,8 @@ def variance_reduction_factor(beta: float, k: int) -> float:
 class BoundSpec:
     """A named bound with its problem constants, evaluable at any index.
 
-    ``kind`` is one of ``memsgd_discrete``, ``poly_continuous``,
-    ``exp_cesaro``, ``strongly_convex_mg``, ``strongly_convex_hb``.  The
-    parameter mapping carries whatever the formula needs (p or alpha, eta,
+    ``kind`` is one of the keys of :data:`BOUND_KINDS`.  The parameter
+    mapping carries whatever the formula needs (p or alpha, eta,
     d, noise variance, initial distances, mu, tau).
     """
 

@@ -240,7 +240,6 @@ def run_verification(
         report = harness.check_bounds(result.traces, spec, method=label)
         checks.append(CheckResult(
             f"rate-bound[{label}]", report.status == "ok",
-            f"status={report.status}, checked={report.n_checked}, "
-            f"violations={report.n_violations}",
+            f"status={report.status}, {report.summary()}",
         ))
     return checks, result

@@ -48,6 +48,20 @@ class TestOptimizeCommand:
         assert "bound memsgd_discrete" in captured
         assert "violations=0" in captured
 
+    def test_violated_bound_says_where(self, optimize_config, capsys):
+        # With dist2 = 1e-3 the bound at k = 0 is 5e-4, far below f_gap(x0) = 1.
+        cfg_path, _ = optimize_config
+        raw = json.loads(cfg_path.read_text())
+        raw["bounds"][0]["params"].update(dist2=1e-3, varsigma2=0.0)
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["optimize", "--config", str(cfg_path)]) == 1
+        prefix = "bound memsgd_discrete on memsgd(eta=0.5,p=2.0): "
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith(prefix)]
+        assert line[len(prefix):].split()[0] == "violations"
+        assert "first_violation_index=0," in line
+        assert "max_relative_excess=1.999e+03" in line
+
     def test_kind_mismatch_rejected(self, optimize_config):
         cfg_path, _ = optimize_config
         with pytest.raises(SystemExit):

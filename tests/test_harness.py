@@ -1,12 +1,20 @@
 """Config round-trips, run determinism, aggregation, bounds, emission."""
 
+import copy
+import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from memgrad import optimizers, problems
 from memgrad.harness import (
+    METHODS,
+    PROBLEMS,
     Aggregate,
     ExperimentConfig,
     Record,
@@ -21,29 +29,52 @@ from memgrad.harness import (
 from memgrad.theory import BoundSpec
 
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+SMALL = {
+    "problem": {
+        "name": "quadratic_diag",
+        "params": {"coeffs": [2e-2, 5e-3]},
+        "noise": {"kind": "gaussian", "sigma": 0.1},
+    },
+    "methods": [
+        {"name": "memsgd", "params": {"p": 2.0, "eta": 12.5}},
+        {"name": "sgd", "params": {"eta": 1.0}},
+    ],
+    "run": {
+        "kind": "optimize",
+        "iterations": 50,
+        "x0": [1.0, 1.0],
+        "n_seeds": 3,
+        "record_stride": 5,
+    },
+    "output": {"directory": "out", "formats": ["csv"]},
+    "master_seed": 7,
+}
+SIMULATE_RUN = {"kind": "simulate", "t_end": 1.0, "h": 1e-3, "x0": [1.0, 1.0]}
+
+
+def small_raw(**overrides):
+    return dict(copy.deepcopy(SMALL), **overrides)
+
+
 def small_config(**overrides):
-    base = {
-        "problem": {
-            "name": "quadratic_diag",
-            "params": {"coeffs": [2e-2, 5e-3]},
-            "noise": {"kind": "gaussian", "sigma": 0.1},
-        },
-        "methods": [
-            {"name": "memsgd", "params": {"p": 2.0, "eta": 12.5}},
-            {"name": "sgd", "params": {"eta": 1.0}},
-        ],
-        "run": {
-            "kind": "optimize",
-            "iterations": 50,
-            "x0": [1.0, 1.0],
-            "n_seeds": 3,
-            "record_stride": 5,
-        },
-        "output": {"directory": "out", "formats": ["csv"]},
-        "master_seed": 7,
-    }
-    base.update(overrides)
-    return ExperimentConfig.from_dict(base)
+    return ExperimentConfig.from_dict(small_raw(**overrides))
+
+
+def keyword_params(fn, skip=0):
+    """Names of fn's parameters after the first ``skip``, and the required ones."""
+    params = list(inspect.signature(fn).parameters.values())[skip:]
+    return ({p.name for p in params},
+            {p.name for p in params if p.default is inspect.Parameter.empty})
+
+
+def accepted(raw) -> bool:
+    try:
+        ExperimentConfig.from_dict(raw)
+    except ValueError:
+        return False
+    return True
 
 
 class TestConfig:
@@ -83,6 +114,81 @@ class TestConfig:
     def test_build_objective_unknown_problem(self):
         with pytest.raises(ValueError):
             build_objective({"name": "rosenbrock"})
+
+    @pytest.mark.parametrize("raw, where, key", [
+        (small_raw(methods=[{"name": "adam", "params": {"eta": 0.1, "beta_1": 0.0}}]),
+         "method adam(beta_1=0.0,eta=0.1)", "beta_1"),
+        (small_raw(methods=[{"name": "hb", "params": {"eta": 0.1}}]),
+         "method hb(eta=0.1)", "beta"),
+        (small_raw(methods=[{"name": "hb_ode", "params": {"viscocity": 1.0}}],
+                   run=SIMULATE_RUN),
+         "method hb_ode(viscocity=1.0)", "viscocity"),
+        (small_raw(run=dict(SMALL["run"], record_strid=5)), "run", "record_strid"),
+        (small_raw(problem={"name": "quartic_2d",
+                            "noise": {"kind": "gaussian", "sigma": 0.5, "seed": 3}}),
+         "problem.noise", "seed"),
+        (small_raw(problem={"name": "quadratic_diag", "params": {"coef": [1.0]}}),
+         "problem quadratic_diag", "coef"),
+    ], ids=["adam-beta_1", "hb-no-beta", "hb_ode-viscocity", "run-record_strid",
+            "noise-seed", "quadratic_diag-coef"])
+    def test_bad_keys_rejected_at_load(self, raw, where, key):
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_dict(raw)
+        assert str(err.value).startswith(f"{where}: ")
+        assert f"'{key}'" in str(err.value)
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_shipped_configs_load(self, path):
+        ExperimentConfig.from_file(path)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_method_params_accepted_iff_signature_takes_them(self, data):
+        name = data.draw(st.sampled_from(sorted(METHODS)))
+        names, required = keyword_params(getattr(optimizers, METHODS[name]), skip=2)
+        keys = data.draw(st.sets(st.sampled_from(sorted(names) + ["beta_1", "lr"])))
+        raw = small_raw(methods=[{"name": name, "params": dict.fromkeys(keys, 0.5)}])
+        assert accepted(raw) == (keys <= names and required <= keys)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_problem_params_accepted_iff_signature_takes_them(self, data):
+        name = data.draw(st.sampled_from(PROBLEMS))
+        names, required = keyword_params(getattr(problems, name))
+        keys = data.draw(st.sets(st.sampled_from(sorted(names) + ["coef", "noise"])))
+        raw = small_raw(problem={"name": name, "params": dict.fromkeys(keys, 1)})
+        assert accepted(raw) == (keys <= names and required <= keys)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_round_trip_is_identity(self, data):
+        finite = st.floats(-1e6, 1e6, allow_nan=False)
+        methods = []
+        for name in data.draw(st.lists(st.sampled_from(sorted(METHODS)), min_size=1,
+                                       max_size=4, unique=True)):
+            names, required = keyword_params(getattr(optimizers, METHODS[name]), skip=2)
+            keys = required | data.draw(st.sets(st.sampled_from(sorted(names))))
+            methods.append({"name": name,
+                            "params": {k: data.draw(finite) for k in sorted(keys)}})
+        raw = {
+            "problem": {"name": "quadratic_diag",
+                        "params": {"coeffs": data.draw(st.lists(finite, min_size=1))},
+                        "noise": {"kind": "gaussian", "sigma": data.draw(finite)}},
+            "methods": methods,
+            "run": {"kind": "optimize", "iterations": data.draw(st.integers(1, 10**6)),
+                    "x0": [data.draw(finite)], "n_seeds": data.draw(st.integers(1, 99)),
+                    "record_stride": data.draw(st.integers(1, 99))},
+            "output": {"directory": data.draw(st.text(min_size=1)), "formats": ["csv"]},
+            "tolerances": data.draw(st.dictionaries(st.text(), finite, max_size=3)),
+            "bounds": [],
+            "master_seed": data.draw(st.integers(0, 2**64 - 1)),
+        }
+        cfg = ExperimentConfig.from_dict(raw)
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert cfg.to_dict() == raw
+        assert again.to_dict() == raw
+        assert again.config_hash() == cfg.config_hash()
 
 
 class TestRunDeterminism:
@@ -148,6 +254,30 @@ class TestDivergenceContainment:
         label = by_method["sgd"][0].method
         agg = result.aggregates[label]
         assert agg.n_runs.max() == 2
+
+
+class TestSgdDivergence:
+    def test_reported_at_the_overflowing_step(self):
+        # sgd on f = (x1^2 + x2^2)/2 with eta = 1e100 multiplies the iterate
+        # by about -1e100 per step, so it overflows while its gradient is
+        # still finite.
+        eta, x0 = 1e100, [1.0, 1.0]
+        x = np.array(x0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first_bad in range(1, 100):
+                g = x
+                x = x - eta * g
+                if not (np.isfinite(g).all() and np.isfinite(x).all()):
+                    break
+        cfg = small_config(
+            problem={"name": "quadratic_diag", "params": {"coeffs": [0.5, 0.5]}},
+            methods=[{"name": "sgd", "params": {"eta": eta}}],
+            run={"kind": "optimize", "iterations": 10, "x0": x0, "n_seeds": 1,
+                 "record_stride": 10},
+        )
+        (trace,) = run_experiment(cfg).traces
+        assert trace.status == "diverged"
+        assert trace.diverged_at == first_bad
 
 
 class TestAggregation:

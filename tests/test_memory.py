@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memgrad.memory import (
     MemoryFunction,
@@ -14,8 +16,6 @@ from memgrad.memory import (
     discrete_weights_hb,
     discrete_weights_memsgd,
     memsgd_weight_sums,
-    m_value,
-    ode_coefficient,
     weight_normalization,
 )
 
@@ -34,48 +34,48 @@ ALL_CONTINUOUS = [
 class TestMemoryFunctionTable:
     def test_m_zero_is_zero(self):
         for mf in ALL_CONTINUOUS:
-            assert m_value(mf, 0.0) == 0.0
+            assert mf.value(0.0) == 0.0
 
     def test_table_values(self):
-        assert m_value(MemoryFunction.polynomial(3), 0.0) == 0.0
+        assert MemoryFunction.polynomial(3).value(0.0) == 0.0
         np.testing.assert_allclose(
-            m_value(MemoryFunction.exponential(1.0), math.log(2.0)), 1.0, rtol=1e-14
+            MemoryFunction.exponential(1.0).value(math.log(2.0)), 1.0, rtol=1e-14
         )
         np.testing.assert_allclose(
-            m_value(MemoryFunction.decaying(), math.e - 1.0), 1.0, rtol=1e-14
+            MemoryFunction.decaying().value(math.e - 1.0), 1.0, rtol=1e-14
         )
 
     def test_strictly_increasing_and_nonnegative(self):
         ts = np.geomspace(1e-6, 50.0, 400)
         for mf in ALL_CONTINUOUS:
-            vals = m_value(mf, ts)
+            vals = mf.value(ts)
             assert np.all(vals >= 0.0)
             assert np.all(np.diff(vals) > 0.0)
 
     def test_instantaneous_has_no_memory_function(self):
         inst = MemoryFunction.instantaneous()
         with pytest.raises(UnsupportedKindError):
-            m_value(inst, 1.0)
+            inst.value(1.0)
         with pytest.raises(UnsupportedKindError):
-            ode_coefficient(inst, 1.0)
+            inst.ode_coefficient(1.0)
 
 
 class TestOdeCoefficient:
     def test_quadratic_forgetting_is_3_over_t(self):
-        assert ode_coefficient(MemoryFunction.quadratic(), 1.0) == 3.0
+        assert MemoryFunction.quadratic().ode_coefficient(1.0) == 3.0
         np.testing.assert_allclose(
-            ode_coefficient(MemoryFunction.quadratic(), 2.5), 3.0 / 2.5, rtol=1e-15
+            MemoryFunction.quadratic().ode_coefficient(2.5), 3.0 / 2.5, rtol=1e-15
         )
 
     def test_polynomial_at_t_equal_p(self):
         for p in (2.0, 3.0, 7.5):
             np.testing.assert_allclose(
-                ode_coefficient(MemoryFunction.polynomial(p), p), 1.0, rtol=1e-15
+                MemoryFunction.polynomial(p).ode_coefficient(p), 1.0, rtol=1e-15
             )
 
     def test_exponential_converges_to_alpha(self):
         np.testing.assert_allclose(
-            ode_coefficient(MemoryFunction.exponential(10.0), 10.0), 10.0, rtol=1e-12
+            MemoryFunction.exponential(10.0).ode_coefficient(10.0), 10.0, rtol=1e-12
         )
 
     def test_matches_derivative_over_value(self):
@@ -166,6 +166,11 @@ class TestMemsgdWeights:
         for p in (2.0, 3.0, 4.0, 100.0):
             for k in (0, 1, 10, 1000):
                 assert abs(discrete_weights_memsgd(p, k).sum() - 1.0) < 1e-12
+
+    @settings(deadline=None)
+    @given(st.floats(min_value=2.0, max_value=200.0))
+    def test_sums_to_one_for_real_degrees(self, p):
+        assert np.max(np.abs(memsgd_weight_sums(p, 2000) - 1.0)) <= 1e-12
 
     def test_weight_sums_helper_agrees_with_per_k(self):
         for p in (2.0, 4.0, 100.0):
