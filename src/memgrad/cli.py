@@ -23,8 +23,9 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="path to a JSON config")
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
+    parser.add_argument("--format", choices=("csv", "json"),
+                        help="csv, or json for csv plus result.json (default: "
+                             "the config's output.formats)")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for independent runs")
 
@@ -43,7 +44,9 @@ def _load_config(args, default=None) -> harness.ExperimentConfig:
     return cfg
 
 
-def _emit_formats(args) -> tuple:
+def _emit_formats(args, cfg: harness.ExperimentConfig) -> tuple:
+    if args.format is None:
+        return tuple(cfg.output.get("formats", ("csv",)))
     return ("csv", "json") if args.format == "json" else ("csv",)
 
 
@@ -56,7 +59,7 @@ def _run_config_command(args, expected_kind: str) -> int:
         )
     result = harness.run_experiment(cfg, threads=args.threads)
     out_dir = Path(cfg.output.get("directory", "out"))
-    written = harness.emit(result, out_dir, formats=_emit_formats(args))
+    written = harness.emit(result, out_dir, formats=_emit_formats(args, cfg))
     for path in written:
         print(f"wrote {path}")
     n_div = sum(1 for t in result.traces if t.status != "completed")
@@ -72,6 +75,13 @@ def _run_config_command(args, expected_kind: str) -> int:
     return 1 if failures else 0
 
 
+def _write_csv(out_dir: Path, name: str, text: str) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
+    path.write_text(text, encoding="utf-8")
+    print(f"wrote {path}")
+
+
 def _cmd_variance_ode(args) -> int:
     states = continuum.integrate_variance_ode(
         args.model, args.t0, args.t_end, args.h, args.lam, args.sigma2,
@@ -80,15 +90,8 @@ def _cmd_variance_ode(args) -> int:
     p3 = np.array([s.p3 for s in states])
     print(f"{args.model}: sup p3 = {p3.max():.6g}, p3({states[-1].t:g}) = {p3[-1]:.6g}")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "variance_ode.csv"
-        lines = ["t,p1,p2,p3"]
-        for s in states:
-            lines.append(
-                f"{s.t:.17g},{s.p1:.17g},{s.p2:.17g},{s.p3:.17g}"
-            )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote {path}")
+        _write_csv(args.out, "variance_ode.csv", "t,p1,p2,p3\n" + "".join(
+            f"{s.t:.17g},{s.p1:.17g},{s.p2:.17g},{s.p3:.17g}\n" for s in states))
     return 0
 
 
@@ -102,15 +105,10 @@ def _cmd_isometry(args) -> int:
         f"stderr={se:.3g} closed-form={target:.6g} z={z:+.2f}"
     )
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "isometry.csv"
-        path.write_text(
-            "power,t,n_paths,h,variance,stderr,closed_form\n"
-            f"{args.power:.17g},{args.t:.17g},{args.paths},{args.h:.17g},"
-            f"{var:.17g},{se:.17g},{target:.17g}\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {path}")
+        _write_csv(args.out, "isometry.csv",
+                   "power,t,n_paths,h,variance,stderr,closed_form\n"
+                   f"{args.power:.17g},{args.t:.17g},{args.paths},{args.h:.17g},"
+                   f"{var:.17g},{se:.17g},{target:.17g}\n")
     return 0
 
 
@@ -159,10 +157,7 @@ def _cmd_rates(args) -> int:
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "rates.csv"
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
+        _write_csv(args.out, "rates.csv", text)
     else:
         sys.stdout.write(text)
     return 0
@@ -188,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=continuum.VARIANCE_MODELS, required=True)
     p.add_argument("--t0", type=float, default=0.1)
     p.add_argument("--t-end", type=float, default=100.0)
-    p.add_argument("--h", type=float, default=1e-3)
+    p.add_argument("--h", type=float, default=1e-3, help="output grid spacing")
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--stride", type=int, default=100)
@@ -206,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--t-end", type=float, default=4.0)
-    p.add_argument("--h", type=float, default=1e-5)
+    p.add_argument("--h", type=float, default=1e-5,
+                   help="comparison grid spacing (strided up to about 1e-4)")
     p.add_argument("--coeffs", default="0.02,0.005",
                    help="diagonal quadratic coefficients")
     p.add_argument("--compare-from", type=float, default=0.1)

@@ -10,10 +10,11 @@ Three phase-space systems over (X, V):
   carry the memory coefficient.
 
 All coefficients with a 1/t blow-up make the start of integration stiff,
-so the trajectory integrators take stability-limited substeps (local step
-capped at ``kappa`` / friction) until the requested step h is safe; a
-single :func:`sde_step` is one plain Euler-Maruyama update, which for the
-constant-volatility systems reproduced here coincides with Milstein.
+so the SDE integrators take stability-limited substeps (local step capped
+at ``kappa`` / friction) until the requested step h is safe; a single
+:func:`sde_step` is one plain Euler-Maruyama update, which for the
+constant-volatility systems reproduced here coincides with Milstein.  The
+deterministic second-moment ODEs and time warp use scipy's adaptive DOP853.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ __all__ = [
     "time_warp_tau",
     "warp_equivalence_check",
 ]
+
+
+# Relative and absolute tolerances of the DOP853 solves.
+RTOL, ATOL = 1e-12, 1e-14
 
 
 class DivergenceError(RuntimeError):
@@ -219,7 +224,8 @@ class TrajectoryResult:
     positions: np.ndarray
     velocities: np.ndarray
     status: str = "completed"
-    diverged_at: float | None = None
+    diverged_at: float | None = None  # first non-finite time
+    diverged_step: int | None = None  # its grid step j, t ~ eps_start + j h
 
 
 def _advance(spec: SdeSpec, x, v, t: float, target: float, h: float, rng,
@@ -266,7 +272,7 @@ def integrate_trajectory(
     t = spec.eps_start
     n_steps = max(1, int(round((t_end - t) / h)))
     times, xs, vs = [t], [x.copy()], [v.copy()]
-    status, diverged_at = "completed", None
+    status, diverged_at, diverged_step = "completed", None, None
     for j in range(1, n_steps + 1):
         target = spec.eps_start + j * h if j < n_steps else t_end
         try:
@@ -276,7 +282,7 @@ def integrate_trajectory(
                 x, v, t = _advance(spec, x, v, t, target, h, rng, kappa)
             _require_finite(x, v, t)
         except DivergenceError as err:
-            status, diverged_at = "diverged", err.time
+            status, diverged_at, diverged_step = "diverged", err.time, j
             break
         if j % record_stride == 0 or j == n_steps:
             times.append(t)
@@ -288,6 +294,7 @@ def integrate_trajectory(
         velocities=np.asarray(vs),
         status=status,
         diverged_at=diverged_at,
+        diverged_step=diverged_step,
     )
 
 
@@ -410,16 +417,11 @@ def variance_ode_rhs(
     )
 
 
-def _rk4_step(model, y, t, h, lam, sigma2):
-    def f(yy, tt):
-        s = SecondMomentState(yy[0], yy[1], yy[2], tt)
-        return np.asarray(variance_ode_rhs(model, s, lam, sigma2))
-
-    k1 = f(y, t)
-    k2 = f(y + 0.5 * h * k1, t + 0.5 * h)
-    k3 = f(y + 0.5 * h * k2, t + 0.5 * h)
-    k4 = f(y + h * k3, t + h)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _output_grid(t0: float, t_end: float, h: float, stride: int) -> np.ndarray:
+    """t0, then t0 + j h at every stride-th grid step j, and t_end."""
+    n_steps = max(1, int(round((t_end - t0) / h)))
+    j = np.arange(stride, n_steps, stride)
+    return np.concatenate(([t0], t0 + j * h, [t_end]))
 
 
 def integrate_variance_ode(
@@ -431,51 +433,38 @@ def integrate_variance_ode(
     sigma2: float,
     init: tuple[float, float, float] = (1.0, 0.0, 0.0),
     record_stride: int = 1,
-    kappa: float = 0.25,
     cs_tol: float = 1e-9,
 ) -> list[SecondMomentState]:
-    """Fixed-step RK4 integration of the second-moment system.
+    """The second-moment system solved by adaptive DOP853 and returned on
+    the grid t0 + j h at every ``record_stride``-th j, ending at t_end.
 
-    Substeps are capped at kappa * t / (6 max(1, lam)) near the singular
-    start.  A step whose result violates the Cauchy-Schwarz constraint
-    p2**2 <= p1 p3 beyond ``cs_tol`` (scaled by the moment magnitude) is
-    retried with half the step, up to 10 times, before giving up.
+    Every returned state must satisfy the Cauchy-Schwarz constraint
+    p2**2 <= p1 p3 up to ``cs_tol`` (scaled by the moment magnitude); the
+    first one that does not, or a solver failure, raises DivergenceError.
     """
-    if model not in VARIANCE_MODELS:
-        raise ValueError(f"unknown variance model {model!r}")
+    from scipy.integrate import solve_ivp
+
     if t0 <= 0.0 or t_end <= t0 or h <= 0.0:
         raise ValueError("need 0 < t0 < t_end and h > 0")
-    stiff = 6.0 * max(1.0, lam)
-    y = np.asarray(init, dtype=float)
-    t = t0
-    out = [SecondMomentState(y[0], y[1], y[2], t)]
-    n_steps = max(1, int(round((t_end - t0) / h)))
-    for j in range(1, n_steps + 1):
-        target = t0 + j * h if j < n_steps else t_end
-        while t < target:
-            h_loc = min(target - t, h, kappa * t / stiff)
-            if t + h_loc <= t:
-                # Remaining interval is below float resolution; snap to it.
-                t = target
-                break
-            y_try = _rk4_step(model, y, t, h_loc, lam, sigma2)
-            retries = 0
-            while True:
-                defect = y_try[1] ** 2 - y_try[0] * y_try[2]
-                if defect <= cs_tol * max(1.0, abs(y_try[0] * y_try[2])):
-                    break
-                retries += 1
-                if retries > 10:
-                    raise DivergenceError(
-                        f"Cauchy-Schwarz violation persists at t = {t}", time=t
-                    )
-                h_loc *= 0.5
-                y_try = _rk4_step(model, y, t, h_loc, lam, sigma2)
-            y = y_try
-            t += h_loc
-        if j % record_stride == 0 or j == n_steps:
-            out.append(SecondMomentState(y[0], y[1], y[2], t))
-    return out
+
+    def rhs(t, y):
+        return variance_ode_rhs(model, SecondMomentState(y[0], y[1], y[2], t),
+                                lam, sigma2)
+
+    sol = solve_ivp(rhs, (t0, t_end), np.asarray(init, dtype=float),
+                    method="DOP853", t_eval=_output_grid(t0, t_end, h, record_stride),
+                    rtol=RTOL, atol=ATOL)
+    if not sol.success:
+        t = float(sol.t[-1]) if sol.t.size else t0
+        raise DivergenceError(f"variance ODE solver stopped at t = {t}: "
+                              f"{sol.message}", time=t)
+    p1, p2, p3 = sol.y
+    ok = p2 * p2 - p1 * p3 <= cs_tol * np.maximum(1.0, np.abs(p1 * p3))
+    if not ok.all():
+        t = float(sol.t[np.argmin(ok)])
+        raise DivergenceError(f"Cauchy-Schwarz violation at t = {t}", time=t)
+    return [SecondMomentState(float(a), float(b), float(c), float(t))
+            for a, b, c, t in zip(p1, p2, p3, sol.t)]
 
 
 def time_warp_tau(t, p: float):
@@ -501,34 +490,36 @@ def warp_equivalence_check(
 ) -> float:
     """Sup-norm gap between the warped memory path and the direct path.
 
-    Integrates the deterministic memory system with m(t) = t**p up to
-    tau(t_end), builds Y(t) = X(tau(t)) by cubic interpolation, integrates
-    the bare-gradient system with viscosity (2p-1)/t directly, and returns
-    the largest position gap over the recorded grid in
+    Solves the noise-free memory system with m(t) = t**p up to tau(t_end)
+    and the bare-gradient system with viscosity (2p-1)/t up to t_end, both
+    by dense DOP853, and returns the largest gap between X_mg(tau(t)) and
+    X_hb(t) over the grid of spacing h * max(1, round(1e-4 / h)) in
     [compare_from, t_end].
     """
-    from scipy.interpolate import CubicSpline
+    from scipy.integrate import solve_ivp
 
     x0 = np.ones(objective.dim) if x0 is None else np.asarray(x0, dtype=float)
-    v0 = np.zeros_like(x0)
-    stride = max(1, int(round(1e-4 / h)))
+    d = x0.size
+    mg = memory_sde(objective.grad, d, MemoryFunction.polynomial(p), eps_start=eps_start)
+    hb = hb_sde(objective.grad, d, viscosity=lambda t: (2.0 * p - 1.0) / t,
+                eps_start=eps_start)
 
-    mg = memory_sde(objective.grad, objective.dim, MemoryFunction.polynomial(p),
-                    eps_start=eps_start)
-    mg_path = integrate_trajectory(
-        mg, x0, v0, time_warp_tau(t_end, p), h, record_stride=stride
-    )
-    if mg_path.status != "completed":
-        raise DivergenceError("memory path diverged", time=mg_path.diverged_at)
+    def rhs(t, y, spec):
+        x, v = y[:d], y[d:]
+        return np.concatenate(
+            (v, -spec.friction(t) * v - spec.gradient_scale(t) * spec.grad(x)))
 
-    hb = hb_sde(objective.grad, objective.dim,
-                viscosity=lambda t: (2.0 * p - 1.0) / t, eps_start=eps_start)
-    hb_path = integrate_trajectory(hb, x0, v0, t_end, h, record_stride=stride)
-    if hb_path.status != "completed":
-        raise DivergenceError("direct path diverged", time=hb_path.diverged_at)
-
-    spline = CubicSpline(mg_path.times, mg_path.positions, axis=0)
-    mask = hb_path.times >= compare_from
-    warped = spline(time_warp_tau(hb_path.times[mask], p))
-    gaps = np.linalg.norm(warped - hb_path.positions[mask], axis=1)
+    paths = []
+    for spec, end in ((mg, time_warp_tau(t_end, p)), (hb, t_end)):
+        sol = solve_ivp(rhs, (eps_start, end), np.concatenate((x0, np.zeros(d))),
+                        method="DOP853", dense_output=True, rtol=RTOL, atol=ATOL,
+                        args=(spec,))
+        if not sol.success:
+            raise DivergenceError(f"{spec.model} path stopped at t = {sol.t[-1]}: "
+                                  f"{sol.message}", time=float(sol.t[-1]))
+        paths.append(sol.sol)  # t -> stacked (X, V), shape (2d, len(t))
+    times = _output_grid(eps_start, t_end, h, max(1, int(round(1e-4 / h))))
+    times = times[times >= compare_from]
+    gaps = np.linalg.norm(paths[0](time_warp_tau(times, p))[:d] - paths[1](times)[:d],
+                          axis=0)
     return float(gaps.max())

@@ -138,6 +138,10 @@ class ExperimentConfig:
         required = ("x0", "iterations") if kind == "optimize" else ("x0", "t_end", "h")
         _check_keys("run", self.run, required)
         _check_keys("output", self.output)
+        formats = self.output.get("formats", ["csv"])
+        if not (isinstance(formats, list) and formats and set(formats) <= {"csv", "json"}):
+            raise ValueError(f"output.formats: need a non-empty list of csv/json, "
+                             f"got {formats!r}")
         _check_keys("problem", self.problem, ("name",))
         noise = self.problem.get("noise", {})
         _check_keys("problem.noise", noise)
@@ -440,9 +444,8 @@ def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, see
         step_norm = 0.0 if i == 0 else float(np.linalg.norm(x - prev))
         records.append(_record_point(obj, i, float(t), x, step_norm))
         prev = x
-    diverged_at = len(records) - 1 if result.status == "diverged" else None
     return Trace(run_id=run_id, method=label, seed=seed, records=records,
-                 status=result.status, diverged_at=diverged_at)
+                 status=result.status, diverged_at=result.diverged_step)
 
 
 @dataclass

@@ -99,8 +99,10 @@ def gamma_star(alpha: float, tau: float, mu_tilde: float) -> tuple[float, float]
         gamma = (alpha - sqrt(alpha^2 - 2 mu_tilde tau))/2  otherwise.
 
     The two branches meet at alpha_max (gamma = tau sqrt(mu_tilde)/2 for
-    tau <= 2); the discriminant in the second branch is non-negative
-    whenever alpha >= alpha_max.
+    tau <= 2).  The second is evaluated as alpha tau r^2 / (1 + sqrt(q)),
+    r = sqrt(mu_tilde)/alpha, q = 1 - 2 tau r^2, which neither overflows nor
+    cancels; q >= ((tau-2)/(tau+2))^2 there, so a q below a few ulps of
+    rounding is a ValueError.
     """
     if alpha <= 0.0 or tau <= 0.0 or mu_tilde <= 0.0:
         raise ValueError("need alpha, tau, mu_tilde > 0")
@@ -108,9 +110,13 @@ def gamma_star(alpha: float, tau: float, mu_tilde: float) -> tuple[float, float]
     if alpha <= alpha_max:
         gamma = tau * alpha / (tau + 2.0)
     else:
-        disc = alpha * alpha - 2.0 * mu_tilde * tau
-        assert disc >= 0.0, "discriminant must be non-negative for alpha >= alpha_max"
-        gamma = 0.5 * (alpha - math.sqrt(disc))
+        r = math.sqrt(mu_tilde) / alpha
+        tau_r2 = tau * r * r
+        q = 1.0 - 2.0 * tau_r2
+        if q < -2e-15:
+            raise ValueError(f"negative discriminant at alpha={alpha!r}, "
+                             f"tau={tau!r}, mu_tilde={mu_tilde!r}")
+        gamma = alpha * tau_r2 / (1.0 + math.sqrt(max(q, 0.0)))
     return gamma, alpha_max
 
 

@@ -74,6 +74,22 @@ class TestOptimizeCommand:
         assert payload["config"]["master_seed"] == 3
 
 
+    @pytest.mark.parametrize("formats, flags, written", [
+        (["csv", "json"], [], {"traces.csv", "aggregates.csv", "result.json"}),
+        (["json"], [], {"result.json"}),
+        (["csv", "json"], ["--format", "csv"], {"traces.csv", "aggregates.csv"}),
+        (["csv"], ["--format", "json"], {"traces.csv", "aggregates.csv", "result.json"}),
+    ])
+    def test_config_formats_unless_flag_given(self, optimize_config, formats, flags,
+                                              written):
+        cfg_path, out_dir = optimize_config
+        raw = json.loads(cfg_path.read_text())
+        raw["output"]["formats"] = formats
+        cfg_path.write_text(json.dumps(raw))
+        main(["optimize", "--config", str(cfg_path), *flags])
+        assert {p.name for p in out_dir.iterdir()} == written
+
+
 class TestSimulateCommand:
     def test_runs(self, tmp_path, capsys):
         cfg = {

@@ -308,6 +308,31 @@ class TestVarianceOde:
         assert p3.max() < 1e3
         assert p3[-1] < 0.1
 
+    def test_friction_only_closed_form(self):
+        # lam = sigma2 = 0 from (1, 0, 1): p3 = (t0/t)^6 and
+        # p2 = t0^6 (t0^-2 - t^-2) / (2 t^3).  Up to t = 3, p3 >= 2e-5 stays
+        # far above the solver's absolute tolerance, so rtol alone applies.
+        t0 = 0.5
+        states = integrate_variance_ode(
+            "nesterov", t0, 3.0, 1e-3, lam=0.0, sigma2=0.0,
+            init=(1.0, 0.0, 1.0), record_stride=100,
+        )
+        t = np.array([s.t for s in states])
+        np.testing.assert_allclose([s.p3 for s in states], (t0 / t) ** 6, rtol=1e-9)
+        np.testing.assert_allclose([s.p2 for s in states],
+                                   t0**6 * (t0**-2 - t**-2) / (2.0 * t**3), rtol=1e-9)
+
+    def test_output_grid(self):
+        states = integrate_variance_ode("nesterov", 0.1, 1.05, 1e-2, 1.0, 1.0,
+                                        record_stride=10)
+        expected = [0.1] + [0.1 + j * 1e-2 for j in range(10, 95, 10)] + [1.05]
+        assert [s.t for s in states] == expected
+
+    def test_cauchy_schwarz_violating_init_raises(self):
+        with pytest.raises(DivergenceError):
+            integrate_variance_ode("nesterov", 0.1, 1.0, 1e-3, 1.0, 1.0,
+                                   init=(1.0, 2.0, 1.0))
+
     def test_matches_monte_carlo(self):
         lam, t0, n = 1.0, 0.1, 4000
         obj = quadratic_diag([lam / 2.0])
@@ -358,3 +383,7 @@ class TestTimeWarp:
     def test_fractional_degree(self):
         gap = warp_equivalence_check(FIG_QUADRATIC, 1.5, 4.0, 1e-4)
         assert gap < 1e-3
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_dense_solutions_agree_to_solver_tolerance(self, p):
+        assert warp_equivalence_check(FIG_QUADRATIC, p, 4.0, 1e-4) < 1e-10

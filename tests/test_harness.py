@@ -137,6 +137,12 @@ class TestConfig:
         assert str(err.value).startswith(f"{where}: ")
         assert f"'{key}'" in str(err.value)
 
+    @pytest.mark.parametrize("formats", [[], ["csv", "xml"], "csv"])
+    def test_bad_output_formats_rejected_at_load(self, formats):
+        with pytest.raises(ValueError) as err:
+            small_config(output={"directory": "out", "formats": formats})
+        assert str(err.value).startswith("output.formats: ")
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
                              ids=lambda path: path.name)
     def test_shipped_configs_load(self, path):
@@ -278,6 +284,31 @@ class TestSgdDivergence:
         (trace,) = run_experiment(cfg).traces
         assert trace.status == "diverged"
         assert trace.diverged_at == first_bad
+
+
+class TestSimulateDivergence:
+    def test_reported_at_the_grid_step(self):
+        # Frictionless explicit Euler on a stiff quadratic grows about
+        # tenfold per step of h = 1, so it overflows long before t_end.
+        coeffs, h, x0 = [50.0, 50.0], 1.0, [1.0, 1.0]
+        grad = problems.quadratic_diag(coeffs).grad
+        x, v = np.array(x0), np.zeros(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first_bad in range(1, 10**4):
+                x, v = x + h * v, v + h * (-0.0 * v - grad(x))
+                if not (np.isfinite(x).all() and np.isfinite(v).all()):
+                    break
+        cfg = small_config(
+            problem={"name": "quadratic_diag", "params": {"coeffs": coeffs}},
+            methods=[{"name": "hb_ode", "params": {"viscosity": 0.0}}],
+            run={"kind": "simulate", "t_end": 1000.0, "h": h, "x0": x0,
+                 "n_seeds": 1, "record_stride": 7},
+        )
+        (trace,) = run_experiment(cfg).traces
+        assert trace.status == "diverged"
+        assert trace.diverged_at == first_bad
+        assert trace.status_field() == f"diverged@{first_bad}"
+        assert len(trace.records) == 1 + (first_bad - 1) // 7
 
 
 class TestAggregation:

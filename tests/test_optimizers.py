@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from memgrad import optimizers
+from memgrad.harness import METHODS
 from memgrad.memory import discrete_weights_memsgd
 from memgrad.optimizers import (
     NonFiniteGradientError,
@@ -345,3 +350,46 @@ class TestDeterminismAndReports:
         np.testing.assert_array_equal(s.x, s.x_prev)
         assert s.k == 0
         assert np.all(s.m2 >= 0.0)
+
+
+# Valid hyperparameters for every stepper in the harness's method table.
+PURITY_PARAMS = {
+    "sgd": {"eta": 0.1},
+    "hb": {"eta": 0.1, "beta": 0.9},
+    "memsgd": {"eta": 0.1, "p": 2.0},
+    "unbiased_hb": {"eta": 0.1, "beta": 0.8},
+    "adam": {"eta": 0.1},
+    "adagrad": {"eta": 0.1},
+    "adamnc": {"eta": 0.1},
+    "polyadam": {"eta": 0.1, "p2": 2.0},
+}
+
+
+def state_bytes(state):
+    return (state.k, state.x.tobytes(), state.x_prev.tobytes(),
+            state.m1.tobytes(), state.m2.tobytes())
+
+
+class TestStepperPurity:
+    def test_every_stepper_is_covered(self):
+        assert set(PURITY_PARAMS) == set(METHODS)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_deterministic_and_leaves_inputs_alone(self, data):
+        name = data.draw(st.sampled_from(sorted(METHODS)))
+        d = data.draw(st.integers(1, 6))
+        finite = st.floats(-1e3, 1e3, allow_nan=False)
+        vector = hnp.arrays(np.float64, d, elements=finite)
+        state = OptimizerState(
+            x=data.draw(vector), x_prev=data.draw(vector),
+            k=data.draw(st.integers(0, 10**4)), m1=data.draw(vector),
+            m2=data.draw(hnp.arrays(np.float64, d, elements=st.floats(0.0, 1e3))),
+        )
+        g = data.draw(vector)
+        before = state_bytes(state), g.tobytes()
+        stepper = getattr(optimizers, METHODS[name])
+        first = stepper(state, g, **PURITY_PARAMS[name])
+        second = stepper(state, g, **PURITY_PARAMS[name])
+        assert state_bytes(first) == state_bytes(second)
+        assert (state_bytes(state), g.tobytes()) == before

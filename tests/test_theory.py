@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from memgrad.theory import (
     BoundSpec,
@@ -94,6 +96,19 @@ class TestGammaStar:
             disc = alpha_max**2 - 2.0 * mu_tilde * tau
             g_upper = 0.5 * (alpha_max - math.sqrt(max(disc, 0.0)))
             assert abs(g_at - g_upper) < 1e-12 * max(1.0, g_at)
+
+    @given(st.data())
+    def test_never_raises_for_positive_inputs(self, data):
+        # Half the draws sit one ulp above the branch split, where the
+        # discriminant is closest to zero.
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        tau, mu_tilde = data.draw(positive), data.draw(positive)
+        edge = float(np.nextafter(0.5 * (tau + 2.0) * math.sqrt(mu_tilde), math.inf))
+        if math.isfinite(edge) and data.draw(st.booleans()):
+            alpha = edge
+        else:
+            alpha = data.draw(positive)
+        gamma_star(alpha, tau, mu_tilde)
 
     def test_specializations(self):
         mu = 0.37
