@@ -27,7 +27,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="csv, or json for csv plus result.json (default: "
                              "the config's output.formats)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent runs")
+                        help="has no effect; runs execute in one thread")
 
 
 def _load_config(args, default=None) -> harness.ExperimentConfig:

@@ -81,7 +81,7 @@ class SdeSpec:
 
     ``grad`` must map a point to a gradient of the same shape and, for
     ensemble integration, broadcast over a leading path axis (true for
-    diagonal quadratics and constant fields).  ``sigma`` may be None or 0
+    every objective in ``problems``).  ``sigma`` may be None or 0
     (deterministic), a scalar, a (d, d) matrix, or a callable x -> matrix
     hook for state-dependent volatility (single-path integration only;
     Euler-Maruyama is then weak order one, not Milstein).

@@ -4,7 +4,7 @@ A config is a plain JSON-shaped document (see :class:`ExperimentConfig`);
 every grid entry expands to a concrete run, every run draws its noise
 from a counter-based substream keyed by the run id, and results are
 reduced in a fixed order, so a (config, master seed) pair maps to
-byte-identical output regardless of thread count.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import csv
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -335,29 +335,15 @@ def aggregate_traces(traces: list[Trace]) -> dict[str, Aggregate]:
             for rec in tr.records:
                 per_index.setdefault(rec.index, []).append(rec)
         indices = np.array(sorted(per_index))
-        n_runs = np.array([len(per_index[i]) for i in indices])
-        times = np.array([per_index[i][0].time for i in indices])
         cols = {}
         for name in ("f_gap", "grad_norm", "step_norm"):
-            means, cis = [], []
-            for i in indices:
-                vals = np.array([getattr(r, name) for r in per_index[i]])
-                m, c = _mean_ci(vals)
-                means.append(m)
-                cis.append(c)
-            cols[name] = (np.array(means), np.array(cis))
+            stats = [_mean_ci(np.array([getattr(r, name) for r in per_index[i]]))
+                     for i in indices]
+            cols[f"{name}_mean"], cols[f"{name}_ci"] = np.array(stats).reshape(-1, 2).T
         out[method] = Aggregate(
-            method=method,
-            indices=indices,
-            times=times,
-            n_runs=n_runs,
-            f_gap_mean=cols["f_gap"][0],
-            f_gap_ci=cols["f_gap"][1],
-            grad_norm_mean=cols["grad_norm"][0],
-            grad_norm_ci=cols["grad_norm"][1],
-            step_norm_mean=cols["step_norm"][0],
-            step_norm_ci=cols["step_norm"][1],
-        )
+            method=method, indices=indices,
+            times=np.array([per_index[i][0].time for i in indices]),
+            n_runs=np.array([len(per_index[i]) for i in indices]), **cols)
     return out
 
 
@@ -377,22 +363,27 @@ def _run_rng(master_seed: int, run_id: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _record_point(obj, index, time, x, step_norm) -> Record:
-    try:
-        f_gap = obj.f_gap(x)
-    except ValueError:
-        f_gap = float("nan")
-    grad_norm = float(np.linalg.norm(obj.grad(np.asarray(x, dtype=float))))
-    return Record(index=index, time=time, f_gap=f_gap,
-                  grad_norm=grad_norm, step_norm=step_norm)
+# Iterates an optimize run evaluates per batched record call; bounds memory at large d.
+RECORD_BLOCK = 64
 
 
-def _record_is_finite(rec: Record) -> bool:
-    """NaN f_gap means 'no declared optimum' and is fine; inf anywhere is
-    an overflowing trajectory even if the iterate itself is still finite."""
-    if math.isinf(rec.f_gap):
-        return False
-    return math.isfinite(rec.grad_norm) and math.isfinite(rec.step_norm)
+def _records(obj, indices, times, xs, step_norms) -> tuple[list[Record], int | None]:
+    """Records of the rows of xs, with f_gap and the gradient norm evaluated in
+    one batched call, up to the first row whose f_gap is inf or whose gradient
+    or step norm is not finite (an overflowing trajectory, even if the iterate
+    is finite), and that row's position or None.  A NaN f_gap is kept."""
+    xs = np.asarray(xs, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            f_gap = obj.f_gap(xs)
+        except ValueError:
+            f_gap = np.full(len(xs), np.nan)
+        grad_norm = np.linalg.norm(np.broadcast_to(obj.grad(xs), xs.shape), axis=-1)
+    bad = np.isinf(f_gap) | ~np.isfinite(grad_norm) | ~np.isfinite(step_norms)
+    stop = int(np.argmax(bad)) if bad.any() else None
+    rows = zip(indices, times, f_gap.tolist(), grad_norm.tolist(), step_norms)
+    records = [Record(int(i), float(t), f, g, float(s)) for i, t, f, g, s in rows]
+    return records[:stop], stop
 
 
 def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, seed):
@@ -404,8 +395,16 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
     if name == "memsgd" and "lipschitz" not in params and obj.L is not None:
         params["lipschitz"] = obj.L
     state = optimizers.OptimizerState.initial(np.asarray(run_cfg["x0"], dtype=float))
-    records = [_record_point(obj, 0, 0.0, state.x, 0.0)]
-    status, diverged_at = "completed", None
+    records, pending = [], [(0, state.x, 0.0)]  # (index, iterate, step norm)
+
+    def flush():  # the index of the first overflowing record, if any
+        index, xs, step_norms = zip(*pending)
+        pending.clear()
+        kept, stop = _records(obj, index, index, xs, step_norms)
+        records.extend(kept)
+        return None if stop is None else index[stop]
+
+    status, diverged_at, overflow = "completed", None, None
     for k in range(iterations):
         with np.errstate(over="ignore", invalid="ignore"):
             g = problems.stochastic_gradient(obj, noise, state.x, rng)
@@ -415,12 +414,15 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
                 status, diverged_at = "diverged", k + 1
                 break
             if (k + 1) % stride == 0 or k + 1 == iterations:
-                step_norm = float(np.linalg.norm(state.x - state.x_prev))
-                rec = _record_point(obj, k + 1, float(k + 1), state.x, step_norm)
-                if not _record_is_finite(rec):
-                    status, diverged_at = "diverged", k + 1
-                    break
-                records.append(rec)
+                pending.append((k + 1, state.x, float(np.linalg.norm(state.x - state.x_prev))))
+        if len(pending) == RECORD_BLOCK:
+            overflow = flush()
+            if overflow is not None:
+                break
+    if pending:
+        overflow = flush()
+    if overflow is not None:
+        status, diverged_at = "diverged", overflow
     return Trace(run_id=run_id, method=label, seed=seed, records=records,
                  status=status, diverged_at=diverged_at)
 
@@ -433,17 +435,19 @@ def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, see
                  **kwargs)
     x0 = np.asarray(run_cfg["x0"], dtype=float)
     v0 = np.asarray(run_cfg.get("v0", np.zeros_like(x0)), dtype=float)
-    stride = int(run_cfg.get("record_stride", 1))
+    h = float(run_cfg["h"])
     result = continuum.integrate_trajectory(
-        spec, x0, v0, float(run_cfg["t_end"]), float(run_cfg["h"]),
-        rng=None if spec.is_deterministic() else rng, record_stride=stride,
+        spec, x0, v0, float(run_cfg["t_end"]), h,
+        rng=None if spec.is_deterministic() else rng,
+        record_stride=int(run_cfg.get("record_stride", 1)),
     )
-    records = []
-    prev = result.positions[0]
-    for i, (t, x) in enumerate(zip(result.times, result.positions)):
-        step_norm = 0.0 if i == 0 else float(np.linalg.norm(x - prev))
-        records.append(_record_point(obj, i, float(t), x, step_norm))
-        prev = x
+    xs = result.positions
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_norms = np.linalg.norm(np.diff(xs, axis=0, prepend=xs[:1]), axis=-1)
+    records, stop = _records(obj, range(len(xs)), result.times, xs, step_norms)
+    if stop is not None:  # every record precedes an integration failure
+        result.status = "diverged"
+        result.diverged_step = round((result.times[stop] - spec.eps_start) / h)
     return Trace(run_id=run_id, method=label, seed=seed, records=records,
                  status=result.status, diverged_at=result.diverged_step)
 
@@ -458,30 +462,18 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute every (method x seed) run and aggregate the traces.
 
-    Runs are independent tasks on a bounded worker pool; each derives its
-    own RNG substream, so the result set (and therefore serialized output)
-    is identical across thread counts.  A run that diverges is recorded up
-    to its failure index and never aborts the batch.
+    Runs execute one after another in one thread; ``threads`` is accepted
+    and has no effect.  Each run derives its own RNG substream from its run
+    id, so the result set does not depend on run order.  A run that
+    diverges is recorded up to its failure index and never aborts the batch.
     """
     config.validate()
     obj, noise = build_objective(config.problem)
-    kind = config.run.get("kind", "optimize")
-    n_seeds = int(config.run.get("n_seeds", 1))
-    execute = _execute_optimize if kind == "optimize" else _execute_simulate
-    tasks = [(label, name, params, seed)
-             for label, name, params in config.expanded_methods()
-             for seed in range(n_seeds)]
-
-    def run_one(task):
-        label, name, params, seed = task
-        return execute(label, name, params, obj, noise, config.run,
-                       config.master_seed, seed)
-
-    if threads <= 1:
-        traces = [run_one(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(run_one, tasks))
+    execute = (_execute_optimize if config.run.get("kind", "optimize") == "optimize"
+               else _execute_simulate)
+    traces = [execute(label, name, params, obj, noise, config.run, config.master_seed, seed)
+              for label, name, params in config.expanded_methods()
+              for seed in range(int(config.run.get("n_seeds", 1)))]
     traces.sort(key=lambda t: (t.method, t.seed))
     return ExperimentResult(traces=traces, aggregates=aggregate_traces(traces),
                             config=config)
@@ -586,10 +578,10 @@ def emit(result: ExperimentResult, out_dir, formats=("csv",)) -> list[Path]:
 
     if "csv" in formats:
         path = out_dir / "traces.csv"
-        _write_text(path, _traces_csv_text(result.traces))
+        _write_text(path, [_traces_csv_text(result.traces)])
         written.append(path)
         path = out_dir / "aggregates.csv"
-        _write_text(path, _aggregates_csv_text(result.aggregates))
+        _write_text(path, [_aggregates_csv_text(result.aggregates)])
         written.append(path)
     if "json" in formats:
         path = out_dir / "result.json"
@@ -616,14 +608,17 @@ def emit(result: ExperimentResult, out_dir, formats=("csv",)) -> list[Path]:
                 for t in sorted(result.traces, key=lambda t: (t.method, t.seed))
             ],
         }
-        _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        # Streamed: holding all of the indented encoder's chunks dominates peak memory.
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        _write_text(path, itertools.chain(encoder.iterencode(payload), "\n"))
         written.append(path)
     return written
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, chunks) -> None:
     try:
-        path.write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     except OSError as err:
         raise OSError(f"cannot write {path}: {err}") from err
 

@@ -214,7 +214,8 @@ def weight_normalization(
     return float(integral / mf.value(t))
 
 
-def _validate_memsgd_degree(p: float, allow_small_p: bool) -> None:
+def validate_memsgd_degree(p: float, allow_small_p: bool) -> None:
+    """The degree rule of polynomial forgetting: p >= 2, or 1 < p < 2 if allowed."""
     if p >= 2.0:
         return
     if allow_small_p and p > 1.0:
@@ -241,7 +242,7 @@ def discrete_weights_memsgd(
     only behind ``allow_small_p``) as a running product, which is the
     recursion's own arithmetic.
     """
-    _validate_memsgd_degree(p, allow_small_p)
+    validate_memsgd_degree(p, allow_small_p)
     if k < 0:
         raise ValueError("iteration index k must be >= 0")
     if k == 0:
@@ -261,7 +262,7 @@ def memsgd_weight_sums(p: float, k_max: int, allow_small_p: bool = False) -> np.
     pass.  Used to check normalization over large iteration ranges without
     quadratic cost.
     """
-    _validate_memsgd_degree(p, allow_small_p)
+    validate_memsgd_degree(p, allow_small_p)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     j = np.arange(0.0, k_max)

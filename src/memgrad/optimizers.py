@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from memgrad.memory import validate_memsgd_degree
+
 __all__ = [
     "OptimizerState",
     "NonFiniteGradientError",
@@ -128,10 +130,7 @@ def memsgd_p_step(
     g = _checked_gradient(state, g)
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
-    if p < 2.0 and not (allow_small_p and p > 1.0):
-        raise ValueError(
-            f"degree p = {p} below 2 needs allow_small_p=True (no discrete guarantee)"
-        )
+    validate_memsgd_degree(p, allow_small_p)
     if lipschitz is not None and eta > (p - 1.0) / (p * lipschitz) * (1.0 + 1e-12):
         warnings.warn(
             f"stepsize {eta} exceeds (p-1)/(pL) = {(p - 1.0) / (p * lipschitz):.3g}; "
@@ -287,10 +286,7 @@ def polyadam_step(
         raise ValueError("eta and eps must be > 0")
     if not (0.0 <= beta1 < 1.0):
         raise ValueError("beta1 must lie in [0, 1)")
-    if p2 < 2.0 and not (allow_small_p and p2 > 1.0):
-        raise ValueError(
-            f"degree p2 = {p2} below 2 needs allow_small_p=True"
-        )
+    validate_memsgd_degree(p2, allow_small_p)
     k = state.k
     m1 = beta1 * state.m1 + (1.0 - beta1) * g
     m2 = (k / (k + p2)) * state.m2 + (p2 / (k + p2)) * g * g

@@ -31,13 +31,14 @@ __all__ = [
 class Objective:
     """A differentiable cost with oracles and declared constants.
 
-    ``grad_component(i, x)`` and ``n_components`` are present for
-    finite-sum problems and absent otherwise.  ``L`` may be a global or
-    a documented box-restricted smoothness constant.
+    ``value(X)`` and ``grad(X)`` broadcast over the rows of X, one point per
+    row.  ``grad_component(i, x)`` and ``n_components`` are present for
+    finite-sum problems and absent otherwise.  ``L`` may be a global or a
+    documented box-restricted smoothness constant.
     """
 
     dim: int
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray | float]
     grad: Callable[[np.ndarray], np.ndarray]
     name: str = "objective"
     f_star: float | None = None
@@ -48,11 +49,11 @@ class Objective:
     grad_component: Callable[[int, np.ndarray], np.ndarray] | None = None
     n_components: int | None = None
 
-    def f_gap(self, x) -> float:
-        """f(x) - f*; requires a declared optimum value."""
+    def f_gap(self, x):
+        """f(x) - f*, one per row of a batch; requires a declared optimum value."""
         if self.f_star is None:
             raise ValueError(f"objective {self.name!r} declares no optimal value")
-        return float(self.value(np.asarray(x, dtype=float))) - self.f_star
+        return self.value(np.asarray(x, dtype=float)) - self.f_star
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def quadratic_diag(coeffs) -> Objective:
     d = c.size
 
     def value(x):
-        return float(np.sum(c * x * x))
+        return np.sum(c * x * x, axis=-1)
 
     def grad(x):
         return 2.0 * c * x
@@ -151,11 +152,14 @@ def quartic_2d() -> Objective:
     covers trajectories started inside the box.
     """
 
+    # x.T keeps one point's coordinates float64 scalars, so their powers stay scalar.
     def value(x):
-        return float(0.8 * x[0] ** 4 + 0.4 * x[1] ** 4)
+        xt = x.T
+        return 0.8 * xt[0] ** 4 + 0.4 * xt[1] ** 4
 
     def grad(x):
-        return np.array([3.2 * x[0] ** 3, 1.6 * x[1] ** 3])
+        xt = x.T
+        return np.array([3.2 * xt[0] ** 3, 1.6 * xt[1] ** 3]).T
 
     box_L = 12.0 * 0.8 * QUARTIC_BOX_HALF_WIDTH**2
     return Objective(
@@ -179,7 +183,7 @@ def constant_field(c) -> Objective:
     c = np.asarray(c, dtype=float)
 
     def value(x):
-        return float(np.dot(c, x))
+        return x @ c
 
     def grad(x):
         return c.copy()
@@ -216,15 +220,17 @@ def logistic_synthetic(
     flips = rng.random(n) < label_noise
     labels[flips] *= -1.0
 
+    # Row-major products, so a batch of iterates takes one GEMM.
     def value(w):
-        margins = labels * (features @ w)
-        return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * l2 * np.dot(w, w))
+        margins = labels * (w @ features.T)
+        return (np.mean(np.logaddexp(0.0, -margins), axis=-1)
+                + 0.5 * l2 * np.sum(w * w, axis=-1))
 
     def grad(w):
-        margins = labels * (features @ w)
+        margins = labels * (w @ features.T)
         # d/dw log(1+exp(-m)) = -y a * sigmoid(-m)
         weights = -labels / (1.0 + np.exp(margins))
-        return features.T @ weights / n + l2 * w
+        return weights @ features / n + l2 * w
 
     def grad_component(i, w):
         a, y = features[i], labels[i]

@@ -217,7 +217,7 @@ def _auto_bounds(config: harness.ExperimentConfig, obj, noise):
 def run_verification(
     config: harness.ExperimentConfig | None = None, threads: int = 1
 ) -> tuple[list[CheckResult], harness.ExperimentResult]:
-    """Run the invariant battery plus the configured experiment batch."""
+    """Run the invariant battery plus the experiment batch; ``threads`` has no effect."""
     config = default_verify_config() if config is None else config
     checks = [
         _check_discrete_normalization(),

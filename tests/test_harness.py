@@ -4,6 +4,7 @@ import copy
 import inspect
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memgrad import optimizers, problems
+from memgrad import harness, optimizers, problems
 from memgrad.harness import (
     METHODS,
     PROBLEMS,
+    RECORD_BLOCK,
     Aggregate,
     ExperimentConfig,
     Record,
@@ -262,6 +264,24 @@ class TestDivergenceContainment:
         assert agg.n_runs.max() == 2
 
 
+class TestRecordOverflow:
+    def test_overflowing_f_gap_alone_stops_the_run(self):
+        # f = 1e-100 |x|^2 overflows at x0, where the gradient norm is about
+        # 3e105, so only the f_gap check can stop this run.
+        cfg = small_config(
+            problem={"name": "quadratic_diag", "params": {"coeffs": [1e-100, 1e-100]}},
+            methods=[{"name": "sgd", "params": {"eta": 1.0}}],
+            run={"kind": "optimize", "iterations": 5, "x0": [1e205, 1e205], "n_seeds": 1},
+        )
+        obj, _ = build_objective(cfg.problem)
+        with np.errstate(over="ignore"):
+            assert np.isinf(obj.f_gap(np.array([1e205, 1e205])))
+        result = run_experiment(cfg)
+        (trace,) = result.traces
+        assert trace.status_field() == "diverged@0" and trace.records == []
+        assert result.aggregates[trace.method].indices.size == 0
+
+
 class TestSgdDivergence:
     def test_reported_at_the_overflowing_step(self):
         # sgd on f = (x1^2 + x2^2)/2 with eta = 1e100 multiplies the iterate
@@ -286,29 +306,102 @@ class TestSgdDivergence:
         assert trace.diverged_at == first_bad
 
 
+class TestRecordBlocks:
+    """Optimize runs evaluate their records RECORD_BLOCK iterates at a time."""
+
+    @pytest.mark.parametrize("iterations,stride", [(64, 1), (128, 1), (130, 2), (200, 3)])
+    def test_completed_run_keeps_every_record(self, iterations, stride):
+        cfg = small_config(run=dict(SMALL["run"], iterations=iterations,
+                                    record_stride=stride, n_seeds=1))
+        expected = list(range(0, iterations + 1, stride))
+        if iterations % stride:
+            expected.append(iterations)
+        assert len(expected) == 1 + iterations // stride + (iterations % stride > 0)
+        assert len(expected) > RECORD_BLOCK
+        for trace in run_experiment(cfg).traces:
+            assert trace.status == "completed"
+            assert [r.index for r in trace.records] == expected
+
+    def test_overflow_found_in_a_later_block(self):
+        # A random walk of about 8e49 per step, started at 5e50 on the
+        # quartic, whose gradient norm overflows once |x1| passes 1.56e51
+        # while the iterate stays finite.  The run must stop at the first
+        # overflowing record, as a plain record-by-record loop does.
+        x0, eta, stride = [5e50, 5e50], 1e-120, 2
+        cfg = small_config(
+            problem={"name": "quartic_2d", "noise": {"kind": "gaussian", "sigma": 8e169}},
+            methods=[{"name": "sgd", "params": {"eta": eta}}],
+            run={"kind": "optimize", "iterations": 400, "x0": x0, "n_seeds": 1,
+                 "record_stride": stride},
+            master_seed=1,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (trace,) = run_experiment(cfg).traces
+
+        obj, noise = build_objective(cfg.problem)
+        rng = harness._run_rng(cfg.master_seed, trace.run_id)
+        state = optimizers.OptimizerState.initial(np.array(x0))
+        expected, first_bad = [], None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(401):
+                if k:
+                    g = problems.stochastic_gradient(obj, noise, state.x, rng)
+                    state = optimizers.sgd_step(state, g, eta=eta)
+                    if k % stride:
+                        continue
+                rec = (k, obj.f_gap(state.x), np.linalg.norm(obj.grad(state.x)),
+                       float(np.linalg.norm(state.x - state.x_prev)))
+                if np.isinf(rec[1]) or not np.isfinite(rec[2:]).all():
+                    first_bad = k
+                    break
+                expected.append(rec)
+        assert first_bad is not None and len(expected) > RECORD_BLOCK
+        assert np.isfinite(state.x).all()
+        assert trace.status == "diverged" and trace.diverged_at == first_bad
+        assert [(r.index, r.time, r.step_norm) for r in trace.records] == \
+            [(k, float(k), step) for k, _, _, step in expected]
+        got = np.array([[r.f_gap, r.grad_norm] for r in trace.records])
+        np.testing.assert_allclose(got, [[f, g] for _, f, g, _ in expected], rtol=1e-15)
+
+
 class TestSimulateDivergence:
     def test_reported_at_the_grid_step(self):
         # Frictionless explicit Euler on a stiff quadratic grows about
-        # tenfold per step of h = 1, so it overflows long before t_end.
-        coeffs, h, x0 = [50.0, 50.0], 1.0, [1.0, 1.0]
-        grad = problems.quadratic_diag(coeffs).grad
+        # tenfold per step of h = 1.  f = 50 |x|^2 overflows at |x| ~ 1e153,
+        # long before the state does, so the run stops at the first
+        # stride-7 record whose f_gap is inf.
+        coeffs, h, x0, stride = [50.0, 50.0], 1.0, [1.0, 1.0], 7
+        obj = problems.quadratic_diag(coeffs)
         x, v = np.array(x0), np.zeros(2)
+        kept, prev = 1, x  # the record at t = eps_start
         with np.errstate(over="ignore", invalid="ignore"):
             for first_bad in range(1, 10**4):
-                x, v = x + h * v, v + h * (-0.0 * v - grad(x))
+                x, v = x + h * v, v + h * (-0.0 * v - obj.grad(x))
                 if not (np.isfinite(x).all() and np.isfinite(v).all()):
                     break
+                if first_bad % stride:
+                    continue
+                norms = (np.linalg.norm(obj.grad(x)), np.linalg.norm(x - prev))
+                if np.isinf(obj.f_gap(x)) or not np.isfinite(norms).all():
+                    break
+                kept, prev = kept + 1, x
         cfg = small_config(
             problem={"name": "quadratic_diag", "params": {"coeffs": coeffs}},
             methods=[{"name": "hb_ode", "params": {"viscosity": 0.0}}],
             run={"kind": "simulate", "t_end": 1000.0, "h": h, "x0": x0,
-                 "n_seeds": 1, "record_stride": 7},
+                 "n_seeds": 1, "record_stride": stride},
         )
-        (trace,) = run_experiment(cfg).traces
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (trace,) = run_experiment(cfg).traces
+        assert first_bad % stride == 0  # a record overflowed, not the state
         assert trace.status == "diverged"
         assert trace.diverged_at == first_bad
         assert trace.status_field() == f"diverged@{first_bad}"
-        assert len(trace.records) == 1 + (first_bad - 1) // 7
+        assert len(trace.records) == kept
+        assert all(np.isfinite([r.f_gap, r.grad_norm, r.step_norm]).all()
+                   for r in trace.records)
 
 
 class TestAggregation:

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from memgrad.harness import PROBLEMS
 from memgrad.problems import (
     NoiseModel,
     Objective,
@@ -125,6 +129,74 @@ class TestLogisticSynthetic:
         b = logistic_synthetic(n=20, dim=3, seed=7)
         w = np.ones(3)
         np.testing.assert_array_equal(a.grad(w), b.grad(w))
+
+
+# Draws one objective per problem name, given the dimension and data.
+FINITE = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+BUILDERS = {
+    "quadratic_diag": lambda data, d: quadratic_diag(
+        data.draw(st.lists(st.floats(0.0, 10.0), min_size=d, max_size=d))),
+    "quartic_2d": lambda data, d: quartic_2d(),
+    "constant_field": lambda data, d: constant_field(
+        data.draw(st.lists(FINITE, min_size=d, max_size=d))),
+    "logistic_synthetic": lambda data, d: logistic_synthetic(
+        n=data.draw(st.integers(1, 30)), dim=d, seed=data.draw(st.integers(0, 99)),
+        l2=data.draw(st.floats(0.0, 1.0))),
+}
+
+
+def within_ulps(a, b, n_ulp=4):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.all(np.abs(a - b) <= n_ulp * np.spacing(np.maximum(abs(a), abs(b)))))
+
+
+def signed_sum_scales(name, obj, x):
+    """Size of the signed terms that value and grad add up at x, or None.
+
+    BLAS orders such sums differently for a batch (GEMM) than for one point
+    (GEMV, dot), so where they cancel a row can miss the single point by
+    many ulp; those rows are held to 1e-12 of the terms' size instead.
+    """
+    if name == "constant_field":
+        return float(np.abs(x) @ np.abs(obj.grad(x))), 0.0
+    if name == "logistic_synthetic":
+        terms = [np.abs(obj.grad_component(i, x)) for i in range(obj.n_components)]
+        return 0.0, np.mean(terms, axis=0)
+    return None
+
+
+class TestBroadcastContract:
+    def test_every_problem_has_a_builder(self):
+        assert set(BUILDERS) == set(PROBLEMS)
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_single_points(self, name, data):
+        d = 2 if name == "quartic_2d" else data.draw(st.integers(1, 6))
+        obj = BUILDERS[name](data, d)
+        n = data.draw(st.integers(1, 8))
+        X = data.draw(hnp.arrays(np.float64, (n, d), elements=FINITE))
+        values = obj.value(X)
+        grads = np.broadcast_to(obj.grad(X), X.shape)
+        assert values.shape == (n,)
+        for row, value, grad in zip(X, values, grads):
+            scales = signed_sum_scales(name, obj, row)
+            if scales is None:
+                assert within_ulps(value, obj.value(row)), (row, value)
+                assert within_ulps(grad, obj.grad(row)), (row, grad)
+            else:
+                for got, single, scale in zip((value, grad), (obj.value(row), obj.grad(row)),
+                                              scales):
+                    assert np.all(abs(got - single) <= 1e-12 * (abs(single) + scale)), row
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=hnp.arrays(np.float64, 2, elements=st.floats(-1e3, 1e3)))
+    def test_quartic_single_point_is_the_scalar_formula(self, x):
+        obj = quartic_2d()
+        assert obj.value(x) == 0.8 * x[0] ** 4 + 0.4 * x[1] ** 4
+        np.testing.assert_array_equal(obj.grad(x),
+                                      np.array([3.2 * x[0] ** 3, 1.6 * x[1] ** 3]))
 
 
 class TestDeclaredConstants:
