@@ -9,19 +9,24 @@ Three phase-space systems over (X, V):
   c(t) = m'(t)/m(t) for a memory function m; drift, gradient and noise all
   carry the memory coefficient.
 
-All coefficients with a 1/t blow-up make the start of integration stiff,
-so the SDE integrators take stability-limited substeps (local step capped
-at ``kappa`` / friction) until the requested step h is safe; a single
-:func:`sde_step` is one plain Euler-Maruyama update, which for the
-constant-volatility systems reproduced here coincides with Milstein.  The
-deterministic second-moment ODEs and time warp use scipy's adaptive DOP853.
+Friction and gradient scale depend on t alone, so :func:`substep_schedule`
+walks a model's time grid once: coefficients with a 1/t blow-up make the
+start stiff, and each substep is capped at ``SUBSTEP_CAP`` / friction until
+the requested step h is safe.  One Euler-Maruyama loop steps a batch of
+paths, shape (n, d), over that schedule; :func:`integrate_paths`,
+:func:`integrate_trajectory` (a batch of one) and :func:`sample_paths` all
+run it, and :func:`sde_step` shares its update.  For the
+constant-volatility systems reproduced here Euler-Maruyama coincides with
+Milstein.  The deterministic second-moment ODEs and time warp use scipy's
+adaptive DOP853.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,6 +44,9 @@ __all__ = [
     "hb_sde",
     "semi_implicit_euler_step",
     "sde_step",
+    "Schedule",
+    "substep_schedule",
+    "integrate_paths",
     "integrate_trajectory",
     "sample_paths",
     "ito_isometry_mc",
@@ -51,6 +59,9 @@ __all__ = [
 
 # Relative and absolute tolerances of the DOP853 solves.
 RTOL, ATOL = 1e-12, 1e-14
+
+# Largest h * friction(t) an SDE substep may take.
+SUBSTEP_CAP = 0.25
 
 
 class DivergenceError(RuntimeError):
@@ -79,12 +90,10 @@ MODELS = {"nesterov": "nesterov_sde", "mg": "memory_sde", "hb_ode": "hb_sde"}
 class SdeSpec:
     """A phase-space model, its gradient field, and its volatility.
 
-    ``grad`` must map a point to a gradient of the same shape and, for
-    ensemble integration, broadcast over a leading path axis (true for
-    every objective in ``problems``).  ``sigma`` may be None or 0
-    (deterministic), a scalar, a (d, d) matrix, or a callable x -> matrix
-    hook for state-dependent volatility (single-path integration only;
-    Euler-Maruyama is then weak order one, not Milstein).
+    ``grad`` must map a point to a gradient of the same shape and broadcast
+    over a leading path axis (true for every objective in ``problems``).
+    ``sigma`` may be None or 0 (deterministic), a scalar, or a (d, d)
+    matrix applied to the standard-normal increment.
     """
 
     model: str
@@ -92,7 +101,7 @@ class SdeSpec:
     dim: int
     viscosity: float | Callable[[float], float] | None = None
     memory: MemoryFunction | None = None
-    sigma: float | np.ndarray | Callable | None = None
+    sigma: float | np.ndarray | None = None
     eps_start: float = 1e-12
 
     def __post_init__(self):
@@ -104,10 +113,8 @@ class SdeSpec:
             if self.memory is None:
                 raise ValueError("mg needs a memory function")
             if self.memory.kind == "instantaneous":
-                raise ValueError(
-                    "instantaneous forgetting is first-order gradient flow, "
-                    "not a phase-space model"
-                )
+                raise ValueError("instantaneous forgetting is first-order gradient "
+                                 "flow, not a phase-space model")
         if not (self.eps_start > 0.0):
             raise ValueError("eps_start must be > 0")
 
@@ -129,38 +136,20 @@ class SdeSpec:
         return 1.0
 
     def is_deterministic(self) -> bool:
-        if self.sigma is None or callable(self.sigma):
-            return self.sigma is None
-        return not np.any(np.asarray(self.sigma) != 0.0)
-
-    def noise_increment(self, x, t: float, sqrt_h: float, rng) -> np.ndarray:
-        """sigma * sqrt(h) * xi with xi standard normal, shaped like x."""
-        xi = rng.standard_normal(np.shape(x))
-        sigma = self.sigma
-        if callable(sigma):
-            sigma = sigma(x)
-        if np.isscalar(sigma):
-            return float(sigma) * sqrt_h * xi
-        return sqrt_h * (xi @ np.asarray(sigma, dtype=float).T)
+        return self.sigma is None or not np.any(np.asarray(self.sigma) != 0.0)
 
 
 def nesterov_sde(grad, dim, sigma=None, eps_start: float = 1e-12) -> SdeSpec:
-    return SdeSpec("nesterov", grad=grad, dim=dim, sigma=sigma, eps_start=eps_start)
+    return SdeSpec("nesterov", grad, dim, sigma=sigma, eps_start=eps_start)
 
 
-def memory_sde(
-    grad, dim, memory: MemoryFunction, sigma=None, eps_start: float = 1e-12
-) -> SdeSpec:
-    return SdeSpec(
-        "mg", grad=grad, dim=dim, memory=memory, sigma=sigma, eps_start=eps_start
-    )
+def memory_sde(grad, dim, memory: MemoryFunction, sigma=None,
+               eps_start: float = 1e-12) -> SdeSpec:
+    return SdeSpec("mg", grad, dim, memory=memory, sigma=sigma, eps_start=eps_start)
 
 
 def hb_sde(grad, dim, viscosity, sigma=None, eps_start: float = 1e-12) -> SdeSpec:
-    return SdeSpec(
-        "hb_ode", grad=grad, dim=dim, viscosity=viscosity, sigma=sigma,
-        eps_start=eps_start,
-    )
+    return SdeSpec("hb_ode", grad, dim, viscosity, sigma=sigma, eps_start=eps_start)
 
 
 def _require_finite(x, v, t: float) -> None:
@@ -187,16 +176,17 @@ def semi_implicit_euler_step(state: PhaseState, spec: SdeSpec, h: float) -> Phas
     return PhaseState(x=x_new, v=v_new, t=state.t + h)
 
 
-def _em_step(spec: SdeSpec, x, v, t: float, h: float, rng) -> tuple:
-    """One Euler-Maruyama update; x may carry a leading path axis."""
-    fric = spec.friction(t)
-    gscale = spec.gradient_scale(t)
-    x_new = x + h * v
-    drift = -fric * v - gscale * spec.grad(x)
-    v_new = v + h * drift
-    if rng is not None and not spec.is_deterministic():
-        v_new = v_new - gscale * spec.noise_increment(x, t, math.sqrt(h), rng)
-    return x_new, v_new, t + h
+def _em_update(spec: SdeSpec, x, v, h: float, fric: float, gscale: float, xi):
+    """One Euler-Maruyama update over a substep of size h; x may carry a
+    leading path axis, and xi is the substep's standard-normal draw shaped
+    like x, or None without noise."""
+    x_new, v_new = x + h * v, v + h * (-fric * v - gscale * spec.grad(x))
+    if xi is None:
+        return x_new, v_new
+    sigma = spec.sigma
+    noise = (float(sigma) * math.sqrt(h) * xi if np.ndim(sigma) == 0
+             else math.sqrt(h) * (xi @ np.asarray(sigma, dtype=float).T))
+    return x_new, v_new - gscale * noise
 
 
 def sde_step(state: PhaseState, spec: SdeSpec, h: float, rng=None) -> PhaseState:
@@ -209,11 +199,86 @@ def sde_step(state: PhaseState, spec: SdeSpec, h: float, rng=None) -> PhaseState
     """
     if h <= 0.0:
         raise ValueError("h must be > 0")
-    if state.t < spec.eps_start:
-        raise ValueError(f"t = {state.t} is before the model start {spec.eps_start}")
-    x, v, t = _em_step(spec, state.x, state.v, state.t, h, rng)
-    _require_finite(x, v, t)
-    return PhaseState(x=x, v=v, t=t)
+    t = state.t
+    if t < spec.eps_start:
+        raise ValueError(f"t = {t} is before the model start {spec.eps_start}")
+    xi = (None if rng is None or spec.is_deterministic()
+          else rng.standard_normal(np.shape(state.x)))
+    x, v = _em_update(spec, state.x, state.v, h, spec.friction(t),
+                      spec.gradient_scale(t), xi)
+    _require_finite(x, v, t + h)
+    return PhaseState(x=x, v=v, t=t + h)
+
+
+class Schedule(NamedTuple):
+    """Substeps from eps_start through a list of target times: each one's
+    start time ``t``, capped size ``h``, ``friction`` and ``gscale``
+    (gradient and noise scale); per target, the number of substeps that
+    reach it (``ends``) and the time reached (``times``)."""
+
+    t: np.ndarray
+    h: np.ndarray
+    friction: np.ndarray
+    gscale: np.ndarray
+    ends: np.ndarray
+    times: np.ndarray
+
+
+def substep_schedule(spec: SdeSpec, targets, h: float) -> Schedule:
+    """March from eps_start through each target in steps of h, shortening a
+    substep wherever h * friction(t) would exceed ``SUBSTEP_CAP``.  The
+    coefficients depend on t alone, so one schedule serves every path."""
+    t, steps, ends, times = spec.eps_start, [], [], []
+    for target in targets:
+        while t < target:
+            fric = spec.friction(t)
+            h_loc = min(target - t, h, SUBSTEP_CAP / fric if fric > 0.0 else h)
+            steps.append((t, h_loc, fric, spec.gradient_scale(t)))
+            # A remainder below float resolution snaps to the target.
+            t = t + h_loc if t + h_loc > t else target
+        ends.append(len(steps))
+        times.append(t)
+    return Schedule(*np.array(steps, dtype=float).reshape(-1, 4).T,
+                    np.array(ends), np.array(times))
+
+
+def _euler_maruyama(spec: SdeSpec, sched: Schedule, x0, v0, n: int, noise, record):
+    """Step n paths from (x0, v0) over the schedule as (n, d) states.
+
+    ``noise()`` gives each substep's (n, d) standard-normal block; a noisy
+    model needs it.  Every path is checked at every target, and one that is
+    not finite is frozen there.  Returns X and V at the start and at each
+    target flagged in ``record`` (NaN once a path has diverged), and each
+    path's 1-based divergence target, 0 if none.
+    """
+    if spec.is_deterministic():
+        noise = None
+    elif noise is None:
+        raise ValueError("a noisy model needs an RNG")
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (n, np.size(x0))).copy()
+    v = np.broadcast_to(np.asarray(v0, dtype=float), x.shape).copy()
+    xs = np.full((1 + sum(record),) + x.shape, np.nan)
+    vs = np.full_like(xs, np.nan)
+    xs[0], vs[0] = x, v
+    diverged, live, k = np.zeros(n, dtype=int), np.arange(n), 1
+    steps = zip(sched.h.tolist(), sched.friction.tolist(), sched.gscale.tolist())
+    counts = np.diff(sched.ends, prepend=0).tolist()
+    # Overflow on the way to divergence is expected; the check flags it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (count, keep) in enumerate(zip(counts, record), 1):
+            for h, fric, gscale in itertools.islice(steps, count):
+                xi = None if noise is None else noise()
+                xi = xi if xi is None or live.size == n else xi[live]
+                x, v = _em_update(spec, x, v, h, fric, gscale, xi)
+            if not (np.isfinite(x).all() and np.isfinite(v).all()):
+                ok = np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1)
+                diverged[live[~ok]] = j
+                live, x, v = live[ok], x[ok], v[ok]
+            if keep:
+                xs[k, live], vs[k, live], k = x, v, k + 1
+            if not live.size:
+                break
+    return xs, vs, diverged
 
 
 @dataclass
@@ -228,114 +293,62 @@ class TrajectoryResult:
     diverged_step: int | None = None  # its grid step j, t ~ eps_start + j h
 
 
-def _advance(spec: SdeSpec, x, v, t: float, target: float, h: float, rng,
-             kappa: float):
-    """March from t to target, capping each substep at kappa/friction."""
-    while t < target:
-        fric = spec.friction(t)
-        cap = kappa / fric if fric > 0.0 else h
-        h_loc = min(target - t, h, cap)
-        x, v, t_new = _em_step(spec, x, v, t, h_loc, rng)
-        if t_new <= t:
-            # Remaining interval is below float resolution; snap to it.
-            t = target
-            break
-        t = t_new
-    return x, v, t
+def integrate_paths(spec: SdeSpec, x0, v0, t_end: float, h: float, noise=None,
+                    n_paths: int = 1, record_stride: int = 1) -> list[TrajectoryResult]:
+    """Integrate ``n_paths`` paths together from (x0, v0, eps_start) to t_end.
 
-
-def integrate_trajectory(
-    spec: SdeSpec,
-    x0,
-    v0,
-    t_end: float,
-    h: float,
-    rng=None,
-    record_stride: int = 1,
-    kappa: float = 0.25,
-) -> TrajectoryResult:
-    """Integrate one path from (x0, v0, eps_start) to t_end.
-
-    The outer grid advances in steps of h; inside each interval the step
-    is shortened whenever h * friction(t) would exceed ``kappa``, which
-    resolves the 1/t-singular start without changing the grid elsewhere.
-    The state is recorded at every ``record_stride``-th grid point.
-    Divergence stops the run and flags the first bad time instead of
-    propagating NaNs.
+    The grid is eps_start + j h, ending at t_end.  ``noise()`` gives the
+    next substep's (n_paths, d) standard-normal block.  Each path is
+    recorded at every ``record_stride``-th grid point and the last; one
+    whose state is not finite at grid step j stops there and reports j and
+    its time instead of propagating NaNs.
     """
     if t_end <= spec.eps_start:
         raise ValueError("t_end must exceed eps_start")
-    if rng is None and not spec.is_deterministic():
-        raise ValueError("a noisy model needs an RNG")
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
-    t = spec.eps_start
-    n_steps = max(1, int(round((t_end - t) / h)))
-    times, xs, vs = [t], [x.copy()], [v.copy()]
-    status, diverged_at, diverged_step = "completed", None, None
-    for j in range(1, n_steps + 1):
-        target = spec.eps_start + j * h if j < n_steps else t_end
-        try:
-            # Overflow on the way to divergence is expected; it is caught
-            # by the finiteness check and reported as a flag.
-            with np.errstate(over="ignore", invalid="ignore"):
-                x, v, t = _advance(spec, x, v, t, target, h, rng, kappa)
-            _require_finite(x, v, t)
-        except DivergenceError as err:
-            status, diverged_at, diverged_step = "diverged", err.time, j
-            break
-        if j % record_stride == 0 or j == n_steps:
-            times.append(t)
-            xs.append(x.copy())
-            vs.append(v.copy())
-    return TrajectoryResult(
-        times=np.asarray(times),
-        positions=np.asarray(xs),
-        velocities=np.asarray(vs),
-        status=status,
-        diverged_at=diverged_at,
-        diverged_step=diverged_step,
-    )
+    n_steps = max(1, int(round((t_end - spec.eps_start) / h)))
+    targets = [spec.eps_start + j * h for j in range(1, n_steps)] + [t_end]
+    record = [j % record_stride == 0 or j == n_steps for j in range(1, n_steps + 1)]
+    sched = substep_schedule(spec, targets, h)
+    xs, vs, diverged = _euler_maruyama(spec, sched, x0, v0, n_paths, noise, record)
+    kept = np.flatnonzero(record)
+    times = np.concatenate(([spec.eps_start], sched.times[kept]))
+    out = []
+    for r, j in enumerate(diverged.tolist()):
+        n = 1 + int(np.searchsorted(kept, j - 1)) if j else len(times)
+        out.append(TrajectoryResult(times[:n], xs[:n, r], vs[:n, r],
+                                    "diverged" if j else "completed",
+                                    float(sched.times[j - 1]) if j else None, j or None))
+    return out
 
 
-def sample_paths(
-    spec: SdeSpec,
-    x0,
-    v0,
-    record_times,
-    h: float,
-    n_paths: int,
-    rng,
-    kappa: float = 0.25,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def integrate_trajectory(spec: SdeSpec, x0, v0, t_end: float, h: float, rng=None,
+                         record_stride: int = 1) -> TrajectoryResult:
+    """:func:`integrate_paths` for one path, drawing its noise from ``rng``."""
+    noise = None if rng is None else (lambda: rng.standard_normal((1, np.size(x0))))
+    return integrate_paths(spec, x0, v0, t_end, h, noise, 1, record_stride)[0]
+
+
+def sample_paths(spec: SdeSpec, x0, v0, record_times, h: float, n_paths: int,
+                 rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate an ensemble and record (X, V) at the requested times.
 
-    All paths share the time grid and advance in lockstep with vectorized
-    states of shape (n_paths, d); the gradient field must broadcast over
-    the path axis.  Returns (times, X, V) with X, V of shape
-    (len(record_times), n_paths, d).
+    The paths step together through the record times, drawing one
+    (n_paths, d) block from ``rng`` per substep; the gradient field must
+    broadcast over the path axis.  Returns (times, X, V) with X, V of shape
+    (len(record_times), n_paths, d); a non-finite state raises
+    DivergenceError.
     """
     record_times = np.sort(np.asarray(record_times, dtype=float))
     if record_times[0] <= spec.eps_start:
         raise ValueError("record times must exceed eps_start")
-    if rng is None and not spec.is_deterministic():
-        raise ValueError("a noisy model needs an RNG")
-    if callable(spec.sigma):
-        raise ValueError(
-            "state-dependent volatility is supported for single-path "
-            "integration only"
-        )
-    x0 = np.asarray(x0, dtype=float)
-    x = np.broadcast_to(x0, (n_paths, x0.size)).copy()
-    v = np.broadcast_to(np.asarray(v0, dtype=float), x.shape).copy()
-    t = spec.eps_start
-    xs, vs = [], []
-    for target in record_times:
-        x, v, t = _advance(spec, x, v, t, float(target), h, rng, kappa)
-        _require_finite(x, v, t)
-        xs.append(x.copy())
-        vs.append(v.copy())
-    return record_times, np.asarray(xs), np.asarray(vs)
+    noise = None if rng is None else (lambda: rng.standard_normal((n_paths, np.size(x0))))
+    sched = substep_schedule(spec, record_times.tolist(), h)
+    xs, vs, diverged = _euler_maruyama(spec, sched, x0, v0, n_paths, noise,
+                                       [True] * len(record_times))
+    if diverged.any():
+        t = float(sched.times[diverged[diverged > 0].min() - 1])
+        raise DivergenceError(f"non-finite state at t = {t}", time=t)
+    return record_times, xs[1:], vs[1:]
 
 
 def ito_isometry_mc(

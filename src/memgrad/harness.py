@@ -155,7 +155,9 @@ class ExperimentConfig:
             raise ValueError("at least one method is required")
         for entry in self.methods:
             _check_keys("methods", entry, ("name",))
+        names = {}
         for label, name, params in self.expanded_methods():
+            names[label] = name
             try:
                 fn, kwargs = _method_call(kind, name, params)
                 # None stands in for the arguments that a run supplies.
@@ -166,9 +168,16 @@ class ExperimentConfig:
         for entry in self.bounds:
             _check_keys("bounds", entry, ("kind", "method"))
             try:
-                BoundSpec(entry["kind"], entry.get("params", {}))
+                spec = BoundSpec(entry["kind"], entry.get("params", {}))
             except (TypeError, ValueError) as err:
                 raise ValueError(f"bounds: {err}") from None
+            method = entry["method"]
+            if method not in names:
+                raise ValueError(f"bounds: method {method!r} is not one of the "
+                                 f"config's methods {sorted(names)}")
+            if names[method] not in BOUND_KINDS[spec.kind].families:
+                raise ValueError(f"bounds: kind {spec.kind!r} does not apply to "
+                                 f"method {method!r}")
 
     def config_hash(self) -> str:
         """Content hash of the canonical serialized config."""
@@ -312,11 +321,7 @@ class Aggregate:
 def _mean_ci(values: np.ndarray) -> tuple[float, float]:
     n = values.size
     mean = float(values.mean()) if n else float("nan")
-    if n >= 2:
-        ci = 1.96 * float(values.std(ddof=1)) / math.sqrt(n)
-    else:
-        ci = 0.0
-    return mean, ci
+    return mean, 1.96 * float(values.std(ddof=1)) / math.sqrt(n) if n >= 2 else 0.0
 
 
 def aggregate_traces(traces: list[Trace]) -> dict[str, Aggregate]:
@@ -427,29 +432,47 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
                  status=status, diverged_at=diverged_at)
 
 
-def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, seed):
-    run_id = f"{label}|seed={seed}"
-    rng = _run_rng(master_seed, run_id)
+# Standard-normal values a simulate batch draws per noise block; bounds memory at large n x d.
+NOISE_BLOCK = 1 << 16
+
+
+def _row_noise(rngs, d: int):
+    """A callable giving the next substep's (len(rngs), d) standard-normal
+    block, whose row r continues rngs[r]'s stream.  Each stream is drawn a
+    block of substeps at a time; ``standard_normal((b, d))`` gives the values
+    of b successive ``standard_normal(d)`` calls."""
+    b = max(1, NOISE_BLOCK // (len(rngs) * d))
+    return (row for _ in itertools.count() for row in
+            np.stack([rng.standard_normal((b, d)) for rng in rngs], axis=1)).__next__
+
+
+def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, seeds):
+    """Every seed of one method, integrated together as one batch of paths;
+    each path's noise comes from its own run's substream."""
+    run_ids = [f"{label}|seed={seed}" for seed in seeds]
     build, kwargs = _method_call("simulate", name, params)
     spec = build(obj.grad, obj.dim, eps_start=float(run_cfg.get("eps_start", 1e-12)),
                  **kwargs)
     x0 = np.asarray(run_cfg["x0"], dtype=float)
     v0 = np.asarray(run_cfg.get("v0", np.zeros_like(x0)), dtype=float)
     h = float(run_cfg["h"])
-    result = continuum.integrate_trajectory(
-        spec, x0, v0, float(run_cfg["t_end"]), h,
-        rng=None if spec.is_deterministic() else rng,
+    draw = _row_noise([_run_rng(master_seed, run_id) for run_id in run_ids], x0.size)
+    results = continuum.integrate_paths(
+        spec, x0, v0, float(run_cfg["t_end"]), h, draw, len(run_ids),
         record_stride=int(run_cfg.get("record_stride", 1)),
     )
-    xs = result.positions
-    with np.errstate(over="ignore", invalid="ignore"):
-        step_norms = np.linalg.norm(np.diff(xs, axis=0, prepend=xs[:1]), axis=-1)
-    records, stop = _records(obj, range(len(xs)), result.times, xs, step_norms)
-    if stop is not None:  # every record precedes an integration failure
-        result.status = "diverged"
-        result.diverged_step = round((result.times[stop] - spec.eps_start) / h)
-    return Trace(run_id=run_id, method=label, seed=seed, records=records,
-                 status=result.status, diverged_at=result.diverged_step)
+    traces = []
+    for run_id, seed, result in zip(run_ids, seeds, results):
+        xs = result.positions
+        with np.errstate(over="ignore", invalid="ignore"):
+            step_norms = np.linalg.norm(np.diff(xs, axis=0, prepend=xs[:1]), axis=-1)
+        records, stop = _records(obj, range(len(xs)), result.times, xs, step_norms)
+        if stop is not None:  # every record precedes an integration failure
+            result.status = "diverged"
+            result.diverged_step = round((result.times[stop] - spec.eps_start) / h)
+        traces.append(Trace(run_id=run_id, method=label, seed=seed, records=records,
+                            status=result.status, diverged_at=result.diverged_step))
+    return traces
 
 
 @dataclass
@@ -462,18 +485,23 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute every (method x seed) run and aggregate the traces.
 
-    Runs execute one after another in one thread; ``threads`` is accepted
-    and has no effect.  Each run derives its own RNG substream from its run
-    id, so the result set does not depend on run order.  A run that
-    diverges is recorded up to its failure index and never aborts the batch.
+    Runs execute in one thread; ``threads`` is accepted and has no effect.
+    Optimize runs execute one after another, and the seeds of a simulate
+    method are integrated together.  Each run derives its own RNG substream
+    from its run id, so the result set does not depend on run order.  A run
+    that diverges is recorded up to its failure index and never aborts the
+    batch.
     """
     config.validate()
     obj, noise = build_objective(config.problem)
-    execute = (_execute_optimize if config.run.get("kind", "optimize") == "optimize"
-               else _execute_simulate)
-    traces = [execute(label, name, params, obj, noise, config.run, config.master_seed, seed)
-              for label, name, params in config.expanded_methods()
-              for seed in range(int(config.run.get("n_seeds", 1)))]
+    seeds = range(int(config.run.get("n_seeds", 1)))
+    args = (obj, noise, config.run, config.master_seed)
+    if config.run.get("kind", "optimize") == "optimize":
+        traces = [_execute_optimize(label, name, params, *args, seed)
+                  for label, name, params in config.expanded_methods() for seed in seeds]
+    else:
+        traces = [trace for label, name, params in config.expanded_methods()
+                  for trace in _execute_simulate(label, name, params, *args, seeds)]
     traces.sort(key=lambda t: (t.method, t.seed))
     return ExperimentResult(traces=traces, aggregates=aggregate_traces(traces),
                             config=config)
@@ -510,27 +538,28 @@ def check_bounds(traces: list[Trace], bound: BoundSpec, method: str,
     The bound constrains an expectation, so for stochastic runs the check
     uses the one-sided lower edge mean - CI at each index; deterministic
     single runs degenerate to a pathwise check.  Missing constants, a
-    method/bound family mismatch, or absent f_gap data yield an explicit
-    ``cannot_check`` status rather than a pass.
+    method/bound family mismatch, absent f_gap data, or an ``exp_cesaro``
+    bound (on the time-averaged iterate, which traces do not record) yield
+    an explicit ``cannot_check`` status rather than a pass.
     """
     base = method.split("(", 1)[0]
-    families = BOUND_KINDS[bound.kind]
-    if base not in families:
-        return BoundCheckReport(
-            status="cannot_check", method=method, kind=bound.kind,
-            reason=f"bound kind {bound.kind!r} does not apply to method {base!r}",
-        )
     selected = [t for t in traces if t.method == method]
-    if not selected:
-        return BoundCheckReport(status="cannot_check", method=method,
-                                kind=bound.kind, reason="no traces for method")
-    agg = aggregate_traces(selected)[method]
-    if np.all(np.isnan(agg.f_gap_mean)):
-        return BoundCheckReport(status="cannot_check", method=method,
-                                kind=bound.kind,
-                                reason="objective declares no optimal value")
+    if base not in BOUND_KINDS[bound.kind].families:
+        reason = f"bound kind {bound.kind!r} does not apply to method {base!r}"
+    elif bound.kind == "exp_cesaro":
+        reason = ("exp_cesaro bounds the time-averaged iterate; traces record "
+                  "the last iterate")
+    elif not selected:
+        reason = "no traces for method"
+    else:
+        agg = aggregate_traces(selected)[method]
+        reason = ("objective declares no optimal value"
+                  if np.all(np.isnan(agg.f_gap_mean)) else "")
+    if reason:
+        return BoundCheckReport(status="cannot_check", method=method, kind=bound.kind,
+                                reason=reason)
     if use_time is None:
-        use_time = bound.kind != "memsgd_discrete"
+        use_time = BOUND_KINDS[bound.kind].index == "t"
     axis = agg.times if use_time else agg.indices
     n_checked = n_violations = 0
     max_excess, first_violation = 0.0, None
@@ -585,29 +614,13 @@ def emit(result: ExperimentResult, out_dir, formats=("csv",)) -> list[Path]:
         written.append(path)
     if "json" in formats:
         path = out_dir / "result.json"
-        payload = {
-            "config": result.config.to_dict(),
-            "config_sha256": result.config.config_hash(),
-            "traces": [
-                {
-                    "run_id": t.run_id,
-                    "method": t.method,
-                    "seed": t.seed,
-                    "status": t.status_field(),
-                    "records": [
-                        {
-                            "index": r.index,
-                            "time": r.time,
-                            "f_gap": None if math.isnan(r.f_gap) else r.f_gap,
-                            "grad_norm": r.grad_norm,
-                            "step_norm": r.step_norm,
-                        }
-                        for r in t.records
-                    ],
-                }
-                for t in sorted(result.traces, key=lambda t: (t.method, t.seed))
-            ],
-        }
+        traces = [{"run_id": t.run_id, "method": t.method, "seed": t.seed,
+                   "status": t.status_field(),
+                   "records": [dict(vars(r), f_gap=None if math.isnan(r.f_gap) else r.f_gap)
+                               for r in t.records]}
+                  for t in sorted(result.traces, key=lambda t: (t.method, t.seed))]
+        payload = {"config": result.config.to_dict(),
+                   "config_sha256": result.config.config_hash(), "traces": traces}
         # Streamed: holding all of the indented encoder's chunks dominates peak memory.
         encoder = json.JSONEncoder(indent=2, sort_keys=True)
         _write_text(path, itertools.chain(encoder.iterencode(payload), "\n"))
@@ -641,20 +654,15 @@ def _traces_csv_text(traces: list[Trace]) -> str:
 def _aggregates_csv_text(aggregates: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "method", "index", "time", "n_runs", "f_gap_mean", "f_gap_ci",
-        "grad_norm_mean", "grad_norm_ci", "step_norm_mean", "step_norm_ci",
-    ])
+    stats = [f"{name}_{part}" for name in ("f_gap", "grad_norm", "step_norm")
+             for part in ("mean", "ci")]
+    writer.writerow(["method", "index", "time", "n_runs", *stats])
     for method in sorted(aggregates):
         agg = aggregates[method]
         for i in range(agg.indices.size):
-            writer.writerow([
-                method, int(agg.indices[i]), _fmt(float(agg.times[i])),
-                int(agg.n_runs[i]), _fmt(float(agg.f_gap_mean[i])),
-                _fmt(float(agg.f_gap_ci[i])), _fmt(float(agg.grad_norm_mean[i])),
-                _fmt(float(agg.grad_norm_ci[i])), _fmt(float(agg.step_norm_mean[i])),
-                _fmt(float(agg.step_norm_ci[i])),
-            ])
+            writer.writerow([method, int(agg.indices[i]), _fmt(float(agg.times[i])),
+                             int(agg.n_runs[i]),
+                             *(_fmt(float(getattr(agg, col)[i])) for col in stats)])
     return buf.getvalue()
 
 
@@ -665,23 +673,13 @@ def read_traces_csv(path) -> list[Trace]:
     if not rows or tuple(rows[0]) != CSV_COLUMNS:
         raise ValueError(f"unexpected header in {path}")
     by_run: dict[str, Trace] = {}
-    for parts in rows[1:]:
-        run_id, method, seed = parts[0], parts[1], int(parts[2])
-        index, time = int(parts[3]), float(parts[4])
-        f_gap = float(parts[5]) if parts[5] else float("nan")
-        grad_norm, step_norm = float(parts[6]), float(parts[7])
-        status = parts[8]
+    for run_id, method, seed, index, time, f_gap, grad_norm, step_norm, status in rows[1:]:
         if run_id not in by_run:
-            diverged_at = None
-            if status.startswith("diverged@"):
-                diverged_at = int(status.split("@", 1)[1])
-            by_run[run_id] = Trace(
-                run_id=run_id, method=method, seed=seed, records=[],
-                status="diverged" if diverged_at is not None else "completed",
-                diverged_at=diverged_at,
-            )
-        by_run[run_id].records.append(
-            Record(index=index, time=time, f_gap=f_gap,
-                   grad_norm=grad_norm, step_norm=step_norm)
-        )
+            diverged = status.startswith("diverged@")
+            by_run[run_id] = Trace(run_id, method, int(seed), [],
+                                   "diverged" if diverged else "completed",
+                                   int(status.split("@", 1)[1]) if diverged else None)
+        by_run[run_id].records.append(Record(
+            int(index), float(time), float(f_gap) if f_gap else float("nan"),
+            float(grad_norm), float(step_norm)))
     return sorted(by_run.values(), key=lambda t: (t.method, t.seed))

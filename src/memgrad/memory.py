@@ -113,23 +113,18 @@ class MemoryFunction:
         name = name.lower()
         if name in cls._POLY_ALIASES:
             return cls.polynomial(cls._POLY_ALIASES[name])
-        if name == "decaying":
-            return cls.decaying()
-        if name == "polynomial":
-            if param is None:
-                raise ValueError("polynomial memory needs a degree parameter")
-            return cls.polynomial(param)
-        if name == "exponential":
-            if param is None:
-                raise ValueError("exponential memory needs an alpha parameter")
-            return cls.exponential(param)
-        if name in ("superexp", "super_exponential"):
-            if param is None:
-                raise ValueError("super-exponential memory needs an alpha parameter")
-            return cls.super_exponential(param)
-        if name == "instantaneous":
-            return cls.instantaneous()
-        raise ValueError(f"unknown memory function kind {name!r}")
+        if name in ("decaying", "instantaneous"):
+            return cls(name)
+        with_param = {"polynomial": (cls.polynomial, "a degree"),
+                      "exponential": (cls.exponential, "an alpha"),
+                      "superexp": (cls.super_exponential, "an alpha"),
+                      "super_exponential": (cls.super_exponential, "an alpha")}
+        if name not in with_param:
+            raise ValueError(f"unknown memory function kind {name!r}")
+        build, what = with_param[name]
+        if param is None:
+            raise ValueError(f"{name} memory needs {what} parameter")
+        return build(param)
 
     # -- evaluation --------------------------------------------------------
 

@@ -51,13 +51,7 @@ class OptimizerState:
     @classmethod
     def initial(cls, x0) -> "OptimizerState":
         x0 = np.asarray(x0, dtype=float)
-        return cls(
-            x=x0.copy(),
-            x_prev=x0.copy(),
-            k=0,
-            m1=np.zeros_like(x0),
-            m2=np.zeros_like(x0),
-        )
+        return cls(x0.copy(), x0.copy(), 0, np.zeros_like(x0), np.zeros_like(x0))
 
     @property
     def dim(self) -> int:
@@ -84,6 +78,16 @@ def _next_state(state: OptimizerState, x_new, m1=None, m2=None) -> OptimizerStat
     return OptimizerState(x_new, state.x, state.k + 1,
                           state.m1 if m1 is None else m1,
                           state.m2 if m2 is None else m2)
+
+
+def _adaptive_step(state: OptimizerState, eta, mhat, v, eps, eps_outside_root,
+                   m1=None, m2=None) -> OptimizerState:
+    """x' = x - eta mhat / sqrt(v + eps), or / (sqrt(v) + eps) with
+    ``eps_outside_root``."""
+    if eta <= 0.0 or eps <= 0.0:
+        raise ValueError("eta and eps must be > 0")
+    denom = np.sqrt(v) + eps if eps_outside_root else np.sqrt(v + eps)
+    return _next_state(state, state.x - eta * mhat / denom, m1=m1, m2=m2)
 
 
 def sgd_step(state: OptimizerState, g, eta: float) -> OptimizerState:
@@ -195,8 +199,6 @@ def adam_step(
     ``eps_outside_root`` for the sqrt(vhat) + eps convention.
     """
     g = _checked_gradient(state, g)
-    if eta <= 0.0 or eps <= 0.0:
-        raise ValueError("eta and eps must be > 0")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ValueError("beta1 and beta2 must lie in [0, 1)")
     k = state.k
@@ -204,12 +206,7 @@ def adam_step(
     m2 = beta2 * state.m2 + (1.0 - beta2) * g * g
     mhat = m1 / (1.0 - beta1 ** (k + 1))
     vhat = m2 / (1.0 - beta2 ** (k + 1))
-    if eps_outside_root:
-        denom = np.sqrt(vhat) + eps
-    else:
-        denom = np.sqrt(vhat + eps)
-    x_new = state.x - eta * mhat / denom
-    return _next_state(state, x_new, m1=m1, m2=m2)
+    return _adaptive_step(state, eta, mhat, vhat, eps, eps_outside_root, m1, m2)
 
 
 def adagrad_step(state: OptimizerState, g, eta: float, eps: float = 1e-8) -> OptimizerState:
@@ -218,11 +215,8 @@ def adagrad_step(state: OptimizerState, g, eta: float, eps: float = 1e-8) -> Opt
         v' = v + g*g;   x' = x - eta g / sqrt(v' + eps)
     """
     g = _checked_gradient(state, g)
-    if eta <= 0.0 or eps <= 0.0:
-        raise ValueError("eta and eps must be > 0")
     m2 = state.m2 + g * g
-    x_new = state.x - eta * g / np.sqrt(m2 + eps)
-    return _next_state(state, x_new, m2=m2)
+    return _adaptive_step(state, eta, g, m2, eps, False, m2=m2)
 
 
 def adamnc_step(
@@ -241,8 +235,6 @@ def adamnc_step(
     applied.  The first moment is handled exactly as in Adam.
     """
     g = _checked_gradient(state, g)
-    if eta <= 0.0 or eps <= 0.0:
-        raise ValueError("eta and eps must be > 0")
     if not (0.0 <= beta1 < 1.0):
         raise ValueError("beta1 must lie in [0, 1)")
     k = state.k
@@ -250,12 +242,7 @@ def adamnc_step(
     m1 = beta1 * state.m1 + (1.0 - beta1) * g
     m2 = beta2 * state.m2 + (1.0 - beta2) * g * g
     mhat = m1 / (1.0 - beta1 ** (k + 1))
-    if eps_outside_root:
-        denom = np.sqrt(m2) + eps
-    else:
-        denom = np.sqrt(m2 + eps)
-    x_new = state.x - eta * mhat / denom
-    return _next_state(state, x_new, m1=m1, m2=m2)
+    return _adaptive_step(state, eta, mhat, m2, eps, eps_outside_root, m1, m2)
 
 
 def polyadam_step(
@@ -282,8 +269,6 @@ def polyadam_step(
     exponential form with correction.
     """
     g = _checked_gradient(state, g)
-    if eta <= 0.0 or eps <= 0.0:
-        raise ValueError("eta and eps must be > 0")
     if not (0.0 <= beta1 < 1.0):
         raise ValueError("beta1 must lie in [0, 1)")
     validate_memsgd_degree(p2, allow_small_p)
@@ -291,9 +276,4 @@ def polyadam_step(
     m1 = beta1 * state.m1 + (1.0 - beta1) * g
     m2 = (k / (k + p2)) * state.m2 + (p2 / (k + p2)) * g * g
     mhat = m1 / (1.0 - beta1 ** (k + 1))
-    if eps_outside_root:
-        denom = np.sqrt(m2) + eps
-    else:
-        denom = np.sqrt(m2 + eps)
-    x_new = state.x - eta * mhat / denom
-    return _next_state(state, x_new, m1=m1, m2=m2)
+    return _adaptive_step(state, eta, mhat, m2, eps, eps_outside_root, m1, m2)

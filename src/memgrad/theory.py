@@ -9,8 +9,10 @@ brute-force oracles for the iterative implementations.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,14 +28,30 @@ __all__ = [
     "variance_reduction_factor",
 ]
 
-# Bound kind -> the config method names (discrete methods or SDE models)
-# whose trajectories the bound constrains.
+
+class BoundKind(NamedTuple):
+    """A bound kind's formula (the name of a function in this module), the
+    config method names (discrete methods or SDE models) whose trajectories
+    it constrains, the formula's index argument (iteration count ``k`` or
+    time ``t``), its noise-variance argument (0 when not given), and the
+    arguments the kind fixes.  The formula's signature declares the params."""
+
+    formula: str
+    families: tuple
+    index: str = "t"
+    noise: str = "sigma2"
+    fixed: tuple = ()
+
+
 BOUND_KINDS = {
-    "memsgd_discrete": ("memsgd",),
-    "poly_continuous": ("mg",),
-    "exp_cesaro": ("mg", "hb_ode"),
-    "strongly_convex_mg": ("mg",),
-    "strongly_convex_hb": ("hb_ode", "nesterov"),
+    "memsgd_discrete": BoundKind("memsgd_rate_bound", ("memsgd",), index="k",
+                                 noise="varsigma2"),
+    "poly_continuous": BoundKind("poly_continuous_bound", ("mg",)),
+    "exp_cesaro": BoundKind("exp_cesaro_bound", ("mg", "hb_ode")),
+    "strongly_convex_mg": BoundKind("strongly_convex_bound", ("mg",),
+                                    fixed=(("kind", "mg"),)),
+    "strongly_convex_hb": BoundKind("strongly_convex_bound", ("hb_ode", "nesterov"),
+                                    fixed=(("kind", "hb"),)),
 }
 
 
@@ -153,20 +171,12 @@ def strongly_convex_bound(
     constant mu, coefficient (alpha-gamma)^2/2).  Convexity is assumed
     (tau = 1).
     """
-    if kind == "mg":
-        mu_tilde = alpha * mu
-    elif kind == "hb":
-        mu_tilde = mu
-    else:
+    if kind not in ("mg", "hb"):
         raise ValueError(f"unknown kind {kind!r}, expected 'mg' or 'hb'")
-    gamma, _ = gamma_star(alpha, 1.0, mu_tilde)
-    if kind == "mg":
-        coeff = (alpha - gamma) ** 2 / (2.0 * alpha)
-    else:
-        coeff = (alpha - gamma) ** 2 / 2.0
-    return math.exp(-gamma * t) * (f_gap0 + coeff * dist2) + d * alpha * sigma2 / (
-        2.0 * gamma
-    )
+    gamma, _ = gamma_star(alpha, 1.0, alpha * mu if kind == "mg" else mu)
+    coeff = (alpha - gamma) ** 2 / (2.0 * alpha if kind == "mg" else 2.0)
+    ball = d * alpha * sigma2 / (2.0 * gamma)
+    return math.exp(-gamma * t) * (f_gap0 + coeff * dist2) + ball
 
 
 def hb_sum_expand(betas, eta: float, grads, x0) -> np.ndarray:
@@ -216,9 +226,9 @@ def variance_reduction_factor(beta: float, k: int) -> float:
 class BoundSpec:
     """A named bound with its problem constants, evaluable at any index.
 
-    ``kind`` is one of the keys of :data:`BOUND_KINDS`.  The parameter
-    mapping carries whatever the formula needs (p or alpha, eta,
-    d, noise variance, initial distances, mu, tau).
+    ``kind`` is one of the keys of :data:`BOUND_KINDS`, and ``params`` must
+    bind to the kind's formula: every argument but the index and the fixed
+    ones, the noise variance and ``tau`` optional.
     """
 
     kind: str
@@ -233,26 +243,23 @@ class BoundSpec:
         for noise_key in ("varsigma2", "sigma2"):
             if self.params.get(noise_key, 0.0) < 0.0:
                 raise ValueError(f"{noise_key} must be >= 0")
+        try:
+            inspect.signature(self._formula()).bind(**self._arguments(0))
+        except TypeError as err:
+            raise ValueError(f"bound {self.kind}: {err}") from None
+
+    def _formula(self):
+        return globals()[BOUND_KINDS[self.kind].formula]
+
+    def _arguments(self, index) -> dict:
+        kind = BOUND_KINDS[self.kind]
+        args = {kind.noise: 0.0, **self.params}
+        for name, value in (*kind.fixed, (kind.index, index)):
+            if name in self.params:
+                raise TypeError(f"{name!r} is set by the bound kind, not a param")
+            args[name] = value
+        return args
 
     def evaluate(self, index: float) -> float:
         """Bound value at iteration count or time ``index``."""
-        p = self.params
-        if self.kind == "memsgd_discrete":
-            return memsgd_rate_bound(
-                p["p"], p["eta"], int(index), int(p["d"]),
-                p.get("varsigma2", 0.0), p["dist2"],
-            )
-        if self.kind == "poly_continuous":
-            return poly_continuous_bound(
-                p["p"], float(index), int(p["d"]), p.get("sigma2", 0.0), p["dist2"]
-            )
-        if self.kind == "exp_cesaro":
-            return exp_cesaro_bound(
-                p["alpha"], float(index), int(p["d"]), p.get("sigma2", 0.0),
-                p["f_gap0"], p["dist2"], p.get("tau", 1.0),
-            )
-        kind = "mg" if self.kind == "strongly_convex_mg" else "hb"
-        return strongly_convex_bound(
-            kind, p["alpha"], p["mu"], float(index), int(p["d"]),
-            p.get("sigma2", 0.0), p["f_gap0"], p["dist2"],
-        )
+        return self._formula()(**self._arguments(float(index)))

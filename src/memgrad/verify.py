@@ -3,8 +3,9 @@
 Each check is cheap enough to run routinely; the heavyweight statistical
 reproductions live in the acceptance test suite.  A check returns a
 pass/fail flag plus the worst observed value, and the battery ends with a
-configured experiment batch whose polynomial-forgetting runs are checked
-against their closed-form rate bound.
+configured experiment batch, which must run every (method, seed) without
+divergence, and whose polynomial-forgetting runs are checked against their
+closed-form rate bound.
 """
 
 from __future__ import annotations
@@ -230,9 +231,10 @@ def run_verification(
         _check_noise_free_reduction(),
     ]
     result = harness.run_experiment(config, threads=threads)
+    expected = len(config.expanded_methods()) * int(config.run.get("n_seeds", 1))
     n_div = sum(1 for t in result.traces if t.status != "completed")
     checks.append(CheckResult(
-        "experiment-batch", True,
+        "experiment-batch", len(result.traces) == expected and n_div == 0,
         f"{len(result.traces)} runs, {n_div} diverged (contained)",
     ))
     obj, noise = harness.build_objective(config.problem)

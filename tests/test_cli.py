@@ -168,6 +168,24 @@ class TestVerifyCommand:
         assert all(c["passed"] for c in report["checks"])
         assert (tmp_path / "v" / "traces.csv").exists()
 
+    def test_diverging_batch_fails(self, tmp_path, capsys):
+        # SGD at eta = 200 on this quadratic grows sevenfold per step.
+        cfg = ExperimentConfig.from_dict({
+            "problem": {"name": "quadratic_diag", "params": {"coeffs": [2e-2, 5e-3]}},
+            "methods": [{"name": "memsgd", "params": {"p": 2.0, "eta": 12.5}},
+                        {"name": "sgd", "params": {"eta": 200.0}}],
+            "run": {"kind": "optimize", "iterations": 400, "x0": [1.0, 1.0],
+                    "n_seeds": 2, "record_stride": 10},
+            "output": {"directory": str(tmp_path / "v"), "formats": ["csv"]},
+        })
+        cfg_path = tmp_path / "verify.json"
+        cfg.to_file(cfg_path)
+        code = main(["verify", "--config", str(cfg_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[FAIL] experiment-batch: 4 runs, 2 diverged" in out
+        assert out.count("[FAIL]") == 1
+
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
             "problem": {"name": "quadratic_diag", "params": {"coeffs": [0.5]}},

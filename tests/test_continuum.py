@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from memgrad.continuum import (
+    SUBSTEP_CAP,
     DivergenceError,
     PhaseState,
     SdeSpec,
@@ -17,6 +18,7 @@ from memgrad.continuum import (
     sample_paths,
     sde_step,
     semi_implicit_euler_step,
+    substep_schedule,
     time_warp_tau,
     variance_ode_rhs,
     warp_equivalence_check,
@@ -154,6 +156,23 @@ class TestTrajectories:
         mask = res.times >= 1.0
         drift = res.positions[mask, 0] - (0.0 - (res.times[mask] - spec.eps_start))
         assert np.max(np.abs(drift)) < 1e-2
+
+    def test_schedule_caps_the_stiff_start(self):
+        spec = nesterov_sde(lambda x: x, 1)
+        h = 1e-2
+        targets = [spec.eps_start + j * h for j in range(1, 101)]
+        sched = substep_schedule(spec, targets, h)
+        np.testing.assert_array_equal(sched.friction, 3.0 / sched.t)
+        assert np.all(sched.h * sched.friction <= SUBSTEP_CAP * (1.0 + 1e-15))
+        assert np.all(sched.h <= h)
+        np.testing.assert_allclose(sched.times, targets, rtol=1e-15)
+        steps_per_target = np.diff(sched.ends, prepend=0)
+        assert steps_per_target[0] > 20  # the 3/t start
+        # From t = 0.12 on, h * 3/t <= 0.25: one step per target, plus at most
+        # a remainder below float resolution where t + (target - t) < target.
+        later = sched.t >= targets[12]
+        assert np.all((np.abs(sched.h[later] - h) < 1e-15) | (sched.h[later] < 1e-15))
+        assert np.all(steps_per_target[13:] <= 2)
 
     def test_divergence_is_flagged_not_propagated(self):
         # Anti-restoring force with no friction grows like e^t and must

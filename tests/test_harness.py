@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memgrad import harness, optimizers, problems
+from memgrad import harness, optimizers, problems, theory
 from memgrad.harness import (
     METHODS,
     PROBLEMS,
@@ -28,7 +28,7 @@ from memgrad.harness import (
     read_traces_csv,
     run_experiment,
 )
-from memgrad.theory import BoundSpec
+from memgrad.theory import BOUND_KINDS, BoundSpec
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -167,6 +167,45 @@ class TestConfig:
         keys = data.draw(st.sets(st.sampled_from(sorted(names) + ["coef", "noise"])))
         raw = small_raw(problem={"name": name, "params": dict.fromkeys(keys, 1)})
         assert accepted(raw) == (keys <= names and required <= keys)
+
+    @pytest.mark.parametrize("bound, message", [
+        ({"kind": "memsgd_discrete", "method": "memsgd(eta=12.5,p=2.0)",
+          "params": {"p": 2.0, "eta": 12.5, "d": 2}}, "'dist2'"),
+        ({"kind": "memsgd_discrete", "method": "memsgd(eta=12.5,p=2.0)",
+          "params": {"p": 2.0, "eta": 12.5, "d": 2, "dist2": 2.0, "dist": 2.0}},
+         "'dist'"),
+        ({"kind": "memsgd_discrete", "method": "memsgd(eta=12.5,p=2.0)",
+          "params": {"p": 2.0, "eta": 12.5, "d": 2, "dist2": 2.0, "k": 3}}, "'k'"),
+        ({"kind": "memsgd_discrete", "method": "memsgd(eta=1.0,p=2.0)",
+          "params": {"p": 2.0, "eta": 12.5, "d": 2, "dist2": 2.0}},
+         "'memsgd(eta=1.0,p=2.0)' is not one of"),
+        ({"kind": "memsgd_discrete", "method": "sgd(eta=1.0)",
+          "params": {"p": 2.0, "eta": 12.5, "d": 2, "dist2": 2.0}},
+         "does not apply to method 'sgd(eta=1.0)'"),
+    ], ids=["missing-dist2", "unknown-key", "index-as-param", "no-such-method",
+            "wrong-family"])
+    def test_bad_bounds_rejected_at_load(self, bound, message):
+        with pytest.raises(ValueError) as err:
+            small_config(bounds=[bound])
+        assert str(err.value).startswith("bounds: ")
+        assert message in str(err.value)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_bound_params_accepted_iff_formula_takes_them(self, data):
+        kind = data.draw(st.sampled_from(sorted(BOUND_KINDS)))
+        entry = BOUND_KINDS[kind]
+        names, required = keyword_params(getattr(theory, entry.formula))
+        set_by_kind = {entry.index} | {name for name, _ in entry.fixed}
+        names, required = names - set_by_kind, required - set_by_kind - {entry.noise}
+        keys = data.draw(st.sets(st.sampled_from(sorted(names | {"dist", "t", "k"}))))
+        try:
+            BoundSpec(kind, dict.fromkeys(keys, 2.0))
+        except ValueError:
+            ok = False
+        else:
+            ok = True
+        assert ok == (keys <= names and required <= keys)
 
     @settings(deadline=None)
     @given(st.data())
@@ -404,6 +443,81 @@ class TestSimulateDivergence:
                    for r in trace.records)
 
 
+class TestSimulateLockstep:
+    """All seeds of a simulate method step together; each must match a run
+    integrated alone from its own substream."""
+
+    COEFFS, SIGMA = [1.5, 1.5], 1.0
+
+    def _reference(self, seed, n_steps, stride):
+        # Frictionless Euler-Maruyama on a stiff quadratic from rest, one
+        # step of h = 1 per grid step from t = 1: the state doubles about
+        # every step, so noise alone sets when each seed overflows.
+        obj = problems.quadratic_diag(self.COEFFS)
+        rng = harness._run_rng(0, f"hb_ode(sigma=1.0,viscosity=0.0)|seed={seed}")
+        x, v, prev = np.zeros(2), np.zeros(2), np.zeros(2)
+        records = [(0, 1.0, 0.0, 0.0, 0.0)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, n_steps + 1):
+                xi = rng.standard_normal(2)
+                x, v = x + v, v + (-0.0 * v - obj.grad(x)) - self.SIGMA * xi
+                if not (np.isfinite(x).all() and np.isfinite(v).all()):
+                    return records, j
+                if j % stride and j != n_steps:
+                    continue
+                g, dx = obj.grad(x), x - prev
+                rec = (len(records), 1.0 + j, float(obj.f_gap(x)),
+                       math.sqrt(np.sum(g * g)), math.sqrt(np.sum(dx * dx)))
+                if not np.isfinite(rec[2:]).all():
+                    return records, j
+                records.append(rec)
+                prev = x
+        return records, None
+
+    @pytest.mark.parametrize("stride", [1, 1200])
+    def test_seeds_diverge_at_their_own_steps(self, stride):
+        n_seeds, n_steps = 6, 1200
+        cfg = small_config(
+            problem={"name": "quadratic_diag", "params": {"coeffs": self.COEFFS}},
+            methods=[{"name": "hb_ode", "params": {"viscosity": 0.0,
+                                                   "sigma": self.SIGMA}}],
+            run={"kind": "simulate", "t_end": 1.0 + n_steps, "h": 1.0,
+                 "eps_start": 1.0, "x0": [0.0, 0.0], "n_seeds": n_seeds,
+                 "record_stride": stride},
+            master_seed=0,
+        )
+        traces = run_experiment(cfg).traces
+        stops = []
+        for trace in traces:
+            records, stop = self._reference(trace.seed, n_steps, stride)
+            got = [(r.index, r.time, r.f_gap, r.grad_norm, r.step_norm)
+                   for r in trace.records]
+            assert got == records
+            assert trace.status_field() == f"diverged@{stop}"
+            stops.append(stop)
+        assert len(set(stops)) > 1
+
+    @settings(deadline=None, max_examples=50)
+    @given(master=st.integers(0, 2**64 - 1), run_id=st.text(max_size=20),
+           n=st.integers(1, 40), d=st.integers(1, 6), m=st.integers(1, 2**40))
+    def test_block_draws_continue_the_stream(self, master, run_id, n, d, m):
+        block = harness._run_rng(master, run_id).standard_normal((n, d))
+        rng = harness._run_rng(master, run_id)
+        assert np.array_equal(block, [rng.standard_normal(d) for _ in range(n)])
+        ints = harness._run_rng(master, run_id).integers(m, size=n)
+        rng = harness._run_rng(master, run_id)
+        assert np.array_equal(ints, [rng.integers(m) for _ in range(n)])
+
+    def test_row_noise_crosses_blocks(self, monkeypatch):
+        monkeypatch.setattr(harness, "NOISE_BLOCK", 7)
+        ids = ["a", "b", "c"]
+        draw = harness._row_noise([harness._run_rng(3, i) for i in ids], 2)
+        blocks = np.array([draw() for _ in range(5)])
+        for row, run_id in enumerate(ids):
+            rng = harness._run_rng(3, run_id)
+            assert np.array_equal(blocks[:, row], [rng.standard_normal(2) for _ in range(5)])
+
+
 class TestAggregation:
     def _synthetic_traces(self):
         rng = np.random.default_rng(3)
@@ -472,6 +586,24 @@ class TestBoundChecks:
         report = check_bounds(result.traces, spec, method="sgd(eta=1.0)")
         assert report.status == "cannot_check"
         assert "does not apply" in report.reason
+
+    def test_time_averaged_bound_cannot_check(self):
+        # exp_cesaro bounds the time-averaged iterate; traces hold the last one.
+        cfg = small_config(
+            methods=[{"name": "mg", "params": {"memory": "exponential",
+                                               "memory_param": 1.0}}],
+            run=dict(SIMULATE_RUN, n_seeds=1, record_stride=100),
+            bounds=[{"kind": "exp_cesaro", "method": "mg(memory=exponential,"
+                     "memory_param=1.0)",
+                     "params": {"alpha": 1.0, "d": 2, "f_gap0": 0.025, "dist2": 2.0}}],
+        )
+        result = run_experiment(cfg)
+        entry = cfg.bounds[0]
+        report = check_bounds(result.traces, BoundSpec(entry["kind"], entry["params"]),
+                              method=entry["method"])
+        assert report.status == "cannot_check"
+        assert "time-averaged" in report.reason
+        assert report.n_checked == 0
 
     def test_missing_optimum_cannot_check(self):
         cfg = ExperimentConfig.from_dict({
