@@ -19,15 +19,21 @@ import numpy as np
 from memgrad import continuum, harness, problems, theory, verify
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="path to a JSON config")
-    parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        help="csv, or json for csv plus result.json (default: "
-                             "the config's output.formats)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="has no effect; runs execute in one thread")
+# Each subcommand takes only the flags it reads.
+FLAGS = {
+    "config": {"type": Path, "help": "path to a JSON config"},
+    "seed": {"type": int, "help": "override the master seed"},
+    "out": {"type": Path, "help": "output directory"},
+    "format": {"choices": ("csv", "json"), "help": "csv, or json for csv plus "
+               "result.json (default: the config's output.formats)"},
+    "threads": {"type": int, "default": 1,
+                "help": "has no effect; runs execute in one thread"},
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **FLAGS[name])
 
 
 def _load_config(args, default=None) -> harness.ExperimentConfig:
@@ -96,7 +102,7 @@ def _cmd_variance_ode(args) -> int:
 
 
 def _cmd_isometry(args) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(args.seed)
     var, se = continuum.ito_isometry_mc(args.power, args.t, args.paths, args.h, rng)
     target = args.t ** (2 * args.power + 1) / (2 * args.power + 1)
     z = (var - target) / se if se > 0 else float("nan")
@@ -171,15 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("optimize", help="run discrete optimization methods")
-    _common_flags(p)
+    _add_flags(p, "config", "seed", "out", "format", "threads")
     p.set_defaults(func=partial(_run_config_command, expected_kind="optimize"))
 
     p = sub.add_parser("simulate", help="integrate ODE/SDE trajectories")
-    _common_flags(p)
+    _add_flags(p, "config", "seed", "out", "format", "threads")
     p.set_defaults(func=partial(_run_config_command, expected_kind="simulate"))
 
     p = sub.add_parser("variance-ode", help="integrate the second-moment ODEs")
-    _common_flags(p)
+    # Reads no --threads; takes it because bench/workloads.py passes it.
+    _add_flags(p, "out", "threads")
     p.add_argument("--model", choices=continuum.VARIANCE_MODELS, required=True)
     p.add_argument("--t0", type=float, default=0.1)
     p.add_argument("--t-end", type=float, default=100.0)
@@ -190,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_variance_ode)
 
     p = sub.add_parser("isometry", help="Monte-Carlo check of the noise-integral variance")
-    _common_flags(p)
+    _add_flags(p, "out")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--power", type=float, required=True, help="integrand power p")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--paths", type=int, default=10**5)
@@ -198,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_isometry)
 
     p = sub.add_parser("warp", help="time-warp equivalence of memory and momentum paths")
-    _common_flags(p)
+    # Reads no --threads; takes it because bench/workloads.py passes it.
+    _add_flags(p, "threads")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--t-end", type=float, default=4.0)
     p.add_argument("--h", type=float, default=1e-5,
@@ -209,11 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_warp)
 
     p = sub.add_parser("verify", help="run the full invariant suite")
-    _common_flags(p)
+    _add_flags(p, "config", "seed", "out", "threads")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("rates", help="tabulate closed-form bounds as CSV")
-    _common_flags(p)
+    _add_flags(p, "out")
     p.add_argument("--kind", choices=theory.BOUND_KINDS, required=True)
     p.add_argument("--params", required=True, help="bound parameters as JSON")
     p.add_argument("--indices", required=True,

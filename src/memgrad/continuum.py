@@ -59,6 +59,8 @@ __all__ = [
 
 # Relative and absolute tolerances of the DOP853 solves.
 RTOL, ATOL = 1e-12, 1e-14
+# Cauchy-Schwarz slack of a variance-ODE state, relative to max(1, |p1 p3|).
+CS_TOL = 1e-9
 
 # Largest h * friction(t) an SDE substep may take.
 SUBSTEP_CAP = 0.25
@@ -446,13 +448,12 @@ def integrate_variance_ode(
     sigma2: float,
     init: tuple[float, float, float] = (1.0, 0.0, 0.0),
     record_stride: int = 1,
-    cs_tol: float = 1e-9,
 ) -> list[SecondMomentState]:
     """The second-moment system solved by adaptive DOP853 and returned on
     the grid t0 + j h at every ``record_stride``-th j, ending at t_end.
 
     Every returned state must satisfy the Cauchy-Schwarz constraint
-    p2**2 <= p1 p3 up to ``cs_tol`` (scaled by the moment magnitude); the
+    p2**2 <= p1 p3 up to ``CS_TOL`` (scaled by the moment magnitude); the
     first one that does not, or a solver failure, raises DivergenceError.
     """
     from scipy.integrate import solve_ivp
@@ -472,7 +473,7 @@ def integrate_variance_ode(
         raise DivergenceError(f"variance ODE solver stopped at t = {t}: "
                               f"{sol.message}", time=t)
     p1, p2, p3 = sol.y
-    ok = p2 * p2 - p1 * p3 <= cs_tol * np.maximum(1.0, np.abs(p1 * p3))
+    ok = p2 * p2 - p1 * p3 <= CS_TOL * np.maximum(1.0, np.abs(p1 * p3))
     if not ok.all():
         t = float(sol.t[np.argmin(ok)])
         raise DivergenceError(f"Cauchy-Schwarz violation at t = {t}", time=t)

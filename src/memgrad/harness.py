@@ -16,6 +16,8 @@ import io
 import itertools
 import json
 import math
+import numbers
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from memgrad.theory import BOUND_KINDS, BoundSpec
 
 __all__ = [
     "ExperimentConfig",
-    "Record",
+    "RECORD_DTYPE",
     "Trace",
     "Aggregate",
     "BoundCheckReport",
@@ -37,17 +39,16 @@ __all__ = [
     "read_traces_csv",
 ]
 
-CSV_COLUMNS = (
-    "run_id", "method", "seed", "index", "time",
-    "f_gap", "grad_norm", "step_norm", "status",
-)
+# One row per recorded iterate; aggregates reduce the fields after index and time.
+RECORD_DTYPE = np.dtype([("index", np.int64), ("time", np.float64), ("f_gap", np.float64),
+                         ("grad_norm", np.float64), ("step_norm", np.float64)])
+STATS = RECORD_DTYPE.names[2:]
+CSV_COLUMNS = ("run_id", "method", "seed", *RECORD_DTYPE.names, "status")
 
 
-def _fmt(x: float) -> str:
-    """17-significant-digit decimal, empty for missing values."""
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return f"{x:.17g}"
+def _fmt(x) -> str:
+    """An int as is, a float as a 17-significant-digit decimal, NaN as empty."""
+    return str(x) if isinstance(x, int) else "" if math.isnan(x) else f"{x:.17g}"
 
 
 # ----------------------------------------------------------------------
@@ -80,6 +81,8 @@ SECTION_KEYS = {
     "output": {"directory", "formats"},
     "bounds": {"kind", "method", "params"},
 }
+# Model start time of a simulate run that sets no ``eps_start``.
+EPS_START = 1e-12
 
 
 @dataclass
@@ -128,15 +131,22 @@ class ExperimentConfig:
         """Reject a config that would fail or silently ignore part of itself.
 
         Every section is checked against its key set in ``SECTION_KEYS``,
-        and every method's, model's and problem's params are bound against
-        the signature of the function they select.  The ValueError names
-        the section or method label and the offending key.
+        and the run's counts, step, times and start point against their
+        ranges.  A problem's params are bound against its builder's
+        signature; a method's params go through one dry step of its stepper
+        from x0 with a zero gradient, or build its SDE model, so the
+        function's own checks reject a bad value.  The ValueError names the
+        section or method label and the offending key or value.
         """
         kind = self.run.get("kind", "optimize")
         if kind not in ("optimize", "simulate"):
             raise ValueError(f"unknown run kind {kind!r}")
         required = ("x0", "iterations") if kind == "optimize" else ("x0", "t_end", "h")
         _check_keys("run", self.run, required)
+        try:
+            x0 = _checked_run(self.run, kind)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"run: {err}") from None
         _check_keys("output", self.output)
         formats = self.output.get("formats", ["csv"])
         if not (isinstance(formats, list) and formats and set(formats) <= {"csv", "json"}):
@@ -159,11 +169,8 @@ class ExperimentConfig:
         for label, name, params in self.expanded_methods():
             names[label] = name
             try:
-                fn, kwargs = _method_call(kind, name, params)
-                # None stands in for the arguments that a run supplies.
-                run_supplied = {} if kind == "optimize" else {"eps_start": None}
-                _bind(fn, None, None, **run_supplied, **kwargs)
-            except (TypeError, ValueError) as err:
+                _dry_run(kind, name, params, x0, self.run)
+            except (TypeError, ValueError, optimizers.NonFiniteGradientError) as err:
                 raise ValueError(f"method {label}: {err}") from None
         for entry in self.bounds:
             _check_keys("bounds", entry, ("kind", "method"))
@@ -213,6 +220,40 @@ def _check_keys(section: str, given: dict, required=()) -> None:
     missing = [key for key in required if key not in given]
     if missing:
         raise ValueError(f"{section}: missing keys {missing}")
+
+
+def _checked_run(run: dict, kind: str) -> np.ndarray:
+    """The run's x0, once its counts, step, times and start point are valid."""
+    for key, least in (("iterations", 0), ("n_seeds", 1), ("record_stride", 1)):
+        value = run.get(key, least)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+    if kind == "simulate":
+        h, t_end, eps_start = run["h"], run["t_end"], run.get("eps_start", EPS_START)
+        if not h > 0:
+            raise ValueError(f"h must be > 0, got {h!r}")
+        if not t_end > eps_start > 0:
+            raise ValueError(f"need t_end > eps_start > 0, got t_end={t_end!r}, "
+                             f"eps_start={eps_start!r}")
+    x0 = np.asarray(run["x0"], dtype=float)
+    v0 = np.asarray(run.get("v0", x0), dtype=float)
+    if x0.ndim != 1 or v0.shape != x0.shape or not np.isfinite([x0, v0]).all():
+        raise ValueError("x0 and v0 must be finite 1-d lists of equal length")
+    return x0
+
+
+def _dry_run(kind: str, name: str, params: dict, x0: np.ndarray, run: dict) -> None:
+    """One step of the method's stepper from x0 with a zero gradient, or its SDE
+    model built for x0, so that the function's own checks see the params.  The
+    stepper is unwrapped, so that a traced stepper does not count the dry step."""
+    fn, kwargs = _method_call(kind, name, params)
+    fn = inspect.unwrap(fn)
+    if kind == "simulate":
+        fn(None, x0.size, eps_start=float(run.get("eps_start", EPS_START)), **kwargs)
+        return
+    with warnings.catch_warnings():  # the run itself warns, e.g. of a large stepsize
+        warnings.simplefilter("ignore")
+        fn(optimizers.OptimizerState.initial(x0), np.zeros_like(x0), **kwargs)
 
 
 def _bind(fn, *args, **kwargs) -> None:
@@ -278,21 +319,14 @@ def build_objective(problem_cfg: dict) -> tuple[problems.Objective, problems.Noi
 # Traces and aggregates
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Record:
-    index: int
-    time: float
-    f_gap: float
-    grad_norm: float
-    step_norm: float
-
-
 @dataclass
 class Trace:
+    """One run: its records, a RECORD_DTYPE record array in index order."""
+
     run_id: str
     method: str
     seed: int
-    records: list
+    records: np.recarray
     status: str = "completed"
     diverged_at: int | None = None
 
@@ -318,37 +352,50 @@ class Aggregate:
     step_norm_ci: np.ndarray
 
 
-def _mean_ci(values: np.ndarray) -> tuple[float, float]:
-    n = values.size
-    mean = float(values.mean()) if n else float("nan")
-    return mean, 1.96 * float(values.std(ddof=1)) / math.sqrt(n) if n >= 2 else 0.0
+def _mean_ci(values: np.ndarray, starts: np.ndarray, counts: np.ndarray):
+    """Mean and 95% half-width of each group values[start:start + count].
+
+    Groups of one size are the rows of one 2-D block, reduced row by row with
+    the bits of ``mean()`` and ``std(ddof=1)`` on each group alone.  A std that
+    overflows is taken again on the row scaled by its largest magnitude.
+    """
+    mean, ci = np.empty(starts.size), np.zeros(starts.size)
+    for n in np.unique(counts).tolist():
+        sel = counts == n
+        rows = values[starts[sel, None] + np.arange(n)]
+        mean[sel] = rows.mean(axis=1)
+        if n < 2:
+            continue
+        with np.errstate(over="ignore"):
+            std = rows.std(axis=1, ddof=1)
+        bad = ~np.isfinite(std)
+        if bad.any():
+            scale = np.abs(rows[bad]).max(axis=1, keepdims=True)
+            std[bad] = scale[:, 0] * (rows[bad] / scale).std(axis=1, ddof=1)
+        ci[sel] = 1.96 * std / math.sqrt(n)
+    return mean, ci
 
 
 def aggregate_traces(traces: list[Trace]) -> dict[str, Aggregate]:
     """Deterministic reduction: per-method, per-index mean and CI.
 
     Runs that diverged contribute records up to their failure and are
-    excluded (with n_runs adjusted) beyond it.
+    excluded (with n_runs adjusted) beyond it.  Each index's values are
+    reduced in seed order.
     """
-    by_method: dict[str, list[Trace]] = {}
+    by_method: dict[str, list[np.ndarray]] = {}
     for tr in sorted(traces, key=lambda t: (t.method, t.seed)):
-        by_method.setdefault(tr.method, []).append(tr)
+        by_method.setdefault(tr.method, []).append(tr.records)
     out = {}
-    for method, group in by_method.items():
-        per_index: dict[int, list[Record]] = {}
-        for tr in group:
-            for rec in tr.records:
-                per_index.setdefault(rec.index, []).append(rec)
-        indices = np.array(sorted(per_index))
-        cols = {}
-        for name in ("f_gap", "grad_norm", "step_norm"):
-            stats = [_mean_ci(np.array([getattr(r, name) for r in per_index[i]]))
-                     for i in indices]
-            cols[f"{name}_mean"], cols[f"{name}_ci"] = np.array(stats).reshape(-1, 2).T
-        out[method] = Aggregate(
-            method=method, indices=indices,
-            times=np.array([per_index[i][0].time for i in indices]),
-            n_runs=np.array([len(per_index[i]) for i in indices]), **cols)
+    for method, blocks in by_method.items():
+        rows = np.concatenate(blocks)
+        rows = rows[np.argsort(rows["index"], kind="stable")]
+        indices, starts, n_runs = np.unique(rows["index"], return_index=True,
+                                            return_counts=True)
+        cols = {f"{name}_{part}": col for name in STATS
+                for part, col in zip(("mean", "ci"), _mean_ci(rows[name], starts, n_runs))}
+        out[method] = Aggregate(method=method, indices=indices, times=rows["time"][starts],
+                                n_runs=n_runs, **cols)
     return out
 
 
@@ -372,22 +419,22 @@ def _run_rng(master_seed: int, run_id: str) -> np.random.Generator:
 RECORD_BLOCK = 64
 
 
-def _records(obj, indices, times, xs, step_norms) -> tuple[list[Record], int | None]:
+def _records(obj, indices, times, xs, step_norms) -> tuple[np.recarray, int | None]:
     """Records of the rows of xs, with f_gap and the gradient norm evaluated in
     one batched call, up to the first row whose f_gap is inf or whose gradient
     or step norm is not finite (an overflowing trajectory, even if the iterate
     is finite), and that row's position or None.  A NaN f_gap is kept."""
     xs = np.asarray(xs, dtype=float)
+    records = np.recarray(len(xs), dtype=RECORD_DTYPE)
+    records.index, records.time, records.step_norm = indices, times, step_norms
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            f_gap = obj.f_gap(xs)
+            records.f_gap = obj.f_gap(xs)
         except ValueError:
-            f_gap = np.full(len(xs), np.nan)
-        grad_norm = np.linalg.norm(np.broadcast_to(obj.grad(xs), xs.shape), axis=-1)
-    bad = np.isinf(f_gap) | ~np.isfinite(grad_norm) | ~np.isfinite(step_norms)
+            records.f_gap = np.nan
+        records.grad_norm = np.linalg.norm(np.broadcast_to(obj.grad(xs), xs.shape), axis=-1)
+    bad = np.isinf(records.f_gap) | ~np.isfinite(records.grad_norm) | ~np.isfinite(step_norms)
     stop = int(np.argmax(bad)) if bad.any() else None
-    rows = zip(indices, times, f_gap.tolist(), grad_norm.tolist(), step_norms)
-    records = [Record(int(i), float(t), f, g, float(s)) for i, t, f, g, s in rows]
     return records[:stop], stop
 
 
@@ -400,18 +447,18 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
     if name == "memsgd" and "lipschitz" not in params and obj.L is not None:
         params["lipschitz"] = obj.L
     state = optimizers.OptimizerState.initial(np.asarray(run_cfg["x0"], dtype=float))
-    records, pending = [], [(0, state.x, 0.0)]  # (index, iterate, step norm)
+    blocks, pending = [], [(0, state.x, 0.0)]  # (index, iterate, step norm)
 
     def flush():  # the index of the first overflowing record, if any
         index, xs, step_norms = zip(*pending)
         pending.clear()
         kept, stop = _records(obj, index, index, xs, step_norms)
-        records.extend(kept)
+        blocks.append(kept)
         return None if stop is None else index[stop]
 
     status, diverged_at, overflow = "completed", None, None
-    for k in range(iterations):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iterations):
             g = problems.stochastic_gradient(obj, noise, state.x, rng)
             try:
                 state = stepper(state, g, **params)
@@ -420,15 +467,16 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
                 break
             if (k + 1) % stride == 0 or k + 1 == iterations:
                 pending.append((k + 1, state.x, float(np.linalg.norm(state.x - state.x_prev))))
-        if len(pending) == RECORD_BLOCK:
-            overflow = flush()
-            if overflow is not None:
-                break
+            if len(pending) == RECORD_BLOCK:
+                overflow = flush()
+                if overflow is not None:
+                    break
     if pending:
         overflow = flush()
     if overflow is not None:
         status, diverged_at = "diverged", overflow
-    return Trace(run_id=run_id, method=label, seed=seed, records=records,
+    return Trace(run_id=run_id, method=label, seed=seed,
+                 records=np.concatenate(blocks).view(np.recarray),
                  status=status, diverged_at=diverged_at)
 
 
@@ -451,7 +499,7 @@ def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, see
     each path's noise comes from its own run's substream."""
     run_ids = [f"{label}|seed={seed}" for seed in seeds]
     build, kwargs = _method_call("simulate", name, params)
-    spec = build(obj.grad, obj.dim, eps_start=float(run_cfg.get("eps_start", 1e-12)),
+    spec = build(obj.grad, obj.dim, eps_start=float(run_cfg.get("eps_start", EPS_START)),
                  **kwargs)
     x0 = np.asarray(run_cfg["x0"], dtype=float)
     v0 = np.asarray(run_cfg.get("v0", np.zeros_like(x0)), dtype=float)
@@ -494,6 +542,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     """
     config.validate()
     obj, noise = build_objective(config.problem)
+    if len(config.run["x0"]) != obj.dim:
+        raise ValueError(f"run: x0 has length {len(config.run['x0'])}, but problem "
+                         f"{config.problem['name']} has dim {obj.dim}")
     seeds = range(int(config.run.get("n_seeds", 1)))
     args = (obj, noise, config.run, config.master_seed)
     if config.run.get("kind", "optimize") == "optimize":
@@ -531,8 +582,7 @@ class BoundCheckReport:
         return text
 
 
-def check_bounds(traces: list[Trace], bound: BoundSpec, method: str,
-                 use_time: bool | None = None) -> BoundCheckReport:
+def check_bounds(traces: list[Trace], bound: BoundSpec, method: str) -> BoundCheckReport:
     """Compare across-seed mean suboptimality against a closed-form bound.
 
     The bound constrains an expectation, so for stochastic runs the check
@@ -558,8 +608,7 @@ def check_bounds(traces: list[Trace], bound: BoundSpec, method: str,
     if reason:
         return BoundCheckReport(status="cannot_check", method=method, kind=bound.kind,
                                 reason=reason)
-    if use_time is None:
-        use_time = BOUND_KINDS[bound.kind].index == "t"
+    use_time = BOUND_KINDS[bound.kind].index == "t"
     axis = agg.times if use_time else agg.indices
     n_checked = n_violations = 0
     max_excess, first_violation = 0.0, None
@@ -616,8 +665,9 @@ def emit(result: ExperimentResult, out_dir, formats=("csv",)) -> list[Path]:
         path = out_dir / "result.json"
         traces = [{"run_id": t.run_id, "method": t.method, "seed": t.seed,
                    "status": t.status_field(),
-                   "records": [dict(vars(r), f_gap=None if math.isnan(r.f_gap) else r.f_gap)
-                               for r in t.records]}
+                   "records": [dict(zip(RECORD_DTYPE.names,
+                                        (None if v != v else v for v in row)))
+                               for row in t.records.tolist()]}
                   for t in sorted(result.traces, key=lambda t: (t.method, t.seed))]
         payload = {"config": result.config.to_dict(),
                    "config_sha256": result.config.config_hash(), "traces": traces}
@@ -641,21 +691,16 @@ def _traces_csv_text(traces: list[Trace]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for tr in sorted(traces, key=lambda t: (t.method, t.seed)):
-        status = tr.status_field()
-        for rec in tr.records:
-            writer.writerow([
-                tr.run_id, tr.method, tr.seed, rec.index,
-                _fmt(rec.time), _fmt(rec.f_gap), _fmt(rec.grad_norm),
-                _fmt(rec.step_norm), status,
-            ])
+        columns = [map(_fmt, tr.records[name].tolist()) for name in RECORD_DTYPE.names]
+        head, tail = (tr.run_id, tr.method, tr.seed), (tr.status_field(),)
+        writer.writerows(head + row + tail for row in zip(*columns))
     return buf.getvalue()
 
 
 def _aggregates_csv_text(aggregates: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    stats = [f"{name}_{part}" for name in ("f_gap", "grad_norm", "step_norm")
-             for part in ("mean", "ci")]
+    stats = [f"{name}_{part}" for name in STATS for part in ("mean", "ci")]
     writer.writerow(["method", "index", "time", "n_runs", *stats])
     for method in sorted(aggregates):
         agg = aggregates[method]
@@ -672,14 +717,15 @@ def read_traces_csv(path) -> list[Trace]:
         rows = list(csv.reader(fh))
     if not rows or tuple(rows[0]) != CSV_COLUMNS:
         raise ValueError(f"unexpected header in {path}")
-    by_run: dict[str, Trace] = {}
-    for run_id, method, seed, index, time, f_gap, grad_norm, step_norm, status in rows[1:]:
-        if run_id not in by_run:
-            diverged = status.startswith("diverged@")
-            by_run[run_id] = Trace(run_id, method, int(seed), [],
-                                   "diverged" if diverged else "completed",
-                                   int(status.split("@", 1)[1]) if diverged else None)
-        by_run[run_id].records.append(Record(
-            int(index), float(time), float(f_gap) if f_gap else float("nan"),
-            float(grad_norm), float(step_norm)))
-    return sorted(by_run.values(), key=lambda t: (t.method, t.seed))
+    by_run: dict[str, list] = {}
+    for row in rows[1:]:
+        by_run.setdefault(row[0], []).append(row)
+    traces = []
+    for run_id, run_rows in by_run.items():
+        _, method, seed, *_, status_field = run_rows[0]
+        status, _, at = status_field.partition("@")
+        values = [[float(v) if v else math.nan for v in row[3:-1]] for row in run_rows]
+        records = np.rec.fromarrays(np.array(values).T, dtype=RECORD_DTYPE)
+        traces.append(Trace(run_id, method, int(seed), records, status,
+                            int(at) if at else None))
+    return sorted(traces, key=lambda t: (t.method, t.seed))

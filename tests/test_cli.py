@@ -203,3 +203,36 @@ class TestVerifyCommand:
         ha = json.loads((tmp_path / "a" / "verify_report.json").read_text())
         hb = json.loads((tmp_path / "b" / "verify_report.json").read_text())
         assert ha["config_sha256"] != hb["config_sha256"]
+
+
+class TestFlags:
+    RATES = ["rates", "--kind", "poly_continuous", "--params", '{"p": 2.0, "d": 1, '
+             '"dist2": 1.0}', "--indices", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["warp", "--config", "x.json"],
+        ["warp", "--seed", "1"],
+        ["warp", "--out", "out"],
+        ["warp", "--format", "csv"],
+        ["variance-ode", "--model", "nesterov", "--config", "x.json"],
+        ["variance-ode", "--model", "nesterov", "--seed", "1"],
+        ["variance-ode", "--model", "nesterov", "--format", "csv"],
+        ["isometry", "--power", "1", "--config", "x.json"],
+        ["isometry", "--power", "1", "--format", "csv"],
+        ["isometry", "--power", "1", "--threads", "2"],
+        RATES + ["--config", "x.json"],
+        RATES + ["--seed", "1"],
+        RATES + ["--format", "csv"],
+        RATES + ["--threads", "2"],
+        ["verify", "--format", "json"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_flags_a_command_does_not_read_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    def test_threads_accepted_where_the_benchmark_passes_it(self, capsys):
+        assert main(["warp", "--t-end", "0.5", "--h", "1e-3", "--threads", "2"]) == 0
+        assert main(["variance-ode", "--model", "nesterov", "--t-end", "1.0",
+                     "--threads", "2"]) == 0

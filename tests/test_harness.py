@@ -17,9 +17,9 @@ from memgrad.harness import (
     METHODS,
     PROBLEMS,
     RECORD_BLOCK,
+    RECORD_DTYPE,
     Aggregate,
     ExperimentConfig,
-    Record,
     Trace,
     aggregate_traces,
     build_objective,
@@ -54,6 +54,16 @@ SMALL = {
     "master_seed": 7,
 }
 SIMULATE_RUN = {"kind": "simulate", "t_end": 1.0, "h": 1e-3, "x0": [1.0, 1.0]}
+# Valid values of every stepper param, so that whether a method entry loads
+# depends on its keys alone.
+PARAM_VALUES = {
+    "eta": st.floats(1e-6, 1e6), "lipschitz": st.floats(1e-6, 1e6),
+    "eps": st.floats(1e-12, 1.0), "beta": st.floats(0.01, 0.99),
+    "beta1": st.floats(0.0, 0.99), "beta2": st.floats(0.0, 0.99),
+    "p": st.floats(2.0, 100.0), "p2": st.floats(2.0, 100.0),
+    "mode": st.sampled_from(["exact", "asymptotic"]),
+    "allow_small_p": st.booleans(), "eps_outside_root": st.booleans(),
+}
 
 
 def small_raw(**overrides):
@@ -69,6 +79,11 @@ def keyword_params(fn, skip=0):
     params = list(inspect.signature(fn).parameters.values())[skip:]
     return ({p.name for p in params},
             {p.name for p in params if p.default is inspect.Parameter.empty})
+
+
+def make_records(rows) -> np.recarray:
+    """A trace's records from (index, time, f_gap, grad_norm, step_norm) tuples."""
+    return np.array(rows, dtype=RECORD_DTYPE).view(np.recarray)
 
 
 def accepted(raw) -> bool:
@@ -145,6 +160,56 @@ class TestConfig:
             small_config(output={"directory": "out", "formats": formats})
         assert str(err.value).startswith("output.formats: ")
 
+    @pytest.mark.parametrize("raw, where", [
+        (small_raw(methods=[{"name": "hb", "params": {"eta": 1.0, "beta": 1.5}}]),
+         "method hb(beta=1.5,eta=1.0)"),
+        (small_raw(methods=[{"name": "mg", "params": {"memory": "instantaneous"}}],
+                   run=SIMULATE_RUN), "method mg(memory=instantaneous)"),
+        (small_raw(run=dict(SMALL["run"], record_stride=0)), "run"),
+        (small_raw(run=dict(SMALL["run"], n_seeds=0)), "run"),
+        (small_raw(run=dict(SMALL["run"], n_seeds=2.5)), "run"),
+        (small_raw(run=dict(SMALL["run"], iterations=-1)), "run"),
+        (small_raw(run=dict(SMALL["run"], x0=[1.0, float("inf")])), "run"),
+        (small_raw(run=dict(SMALL["run"], x0=[[1.0, 1.0]])), "run"),
+        (small_raw(run=dict(SMALL["run"], v0=[0.0])), "run"),
+        (small_raw(methods=[{"name": "hb_ode", "params": {"viscosity": 1.0}}],
+                   run=dict(SIMULATE_RUN, h=-0.1)), "run"),
+        (small_raw(methods=[{"name": "mg", "params": {"memory": "quadratic"}}],
+                   run=dict(SIMULATE_RUN, eps_start=-1)), "run"),
+        (small_raw(methods=[{"name": "nesterov", "params": {}}],
+                   run=dict(SIMULATE_RUN, eps_start=2.0)), "run"),
+    ], ids=["hb-beta-1.5", "mg-instantaneous", "record_stride-0", "n_seeds-0",
+            "n_seeds-2.5", "iterations--1", "x0-inf", "x0-2d", "v0-length",
+            "h-negative", "eps_start-negative", "t_end-before-eps_start"])
+    def test_bad_values_rejected_at_load(self, raw, where):
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_dict(raw)
+        assert str(err.value).startswith(f"{where}: ")
+
+    def test_x0_of_another_dimension_fails_before_any_run(self, monkeypatch):
+        cfg = small_config(run=dict(SMALL["run"], x0=[1.0, 1.0, 1.0]))
+        monkeypatch.setattr(harness, "_execute_optimize",
+                            lambda *args: pytest.fail("a run started"))
+        with pytest.raises(ValueError, match=r"^run: x0 has length 3, but problem "
+                                             r"quadratic_diag has dim 2"):
+            run_experiment(cfg)
+
+    def test_dry_step_bypasses_a_wrapped_stepper(self, monkeypatch):
+        # A tracer replaces module attributes with wrappers that set
+        # __wrapped__; loading must not count as a stepper call.
+        calls, step = [], optimizers.sgd_step
+
+        def traced(*args, **kwargs):
+            calls.append(args)
+            return step(*args, **kwargs)
+
+        traced.__wrapped__ = step
+        monkeypatch.setattr(optimizers, "sgd_step", traced)
+        cfg = small_config(methods=[{"name": "sgd", "params": {"eta": 1.0}}])
+        assert calls == []
+        run_experiment(cfg)
+        assert len(calls) == SMALL["run"]["n_seeds"] * SMALL["run"]["iterations"]
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
                              ids=lambda path: path.name)
     def test_shipped_configs_load(self, path):
@@ -156,7 +221,8 @@ class TestConfig:
         name = data.draw(st.sampled_from(sorted(METHODS)))
         names, required = keyword_params(getattr(optimizers, METHODS[name]), skip=2)
         keys = data.draw(st.sets(st.sampled_from(sorted(names) + ["beta_1", "lr"])))
-        raw = small_raw(methods=[{"name": name, "params": dict.fromkeys(keys, 0.5)}])
+        params = {k: data.draw(PARAM_VALUES.get(k, st.just(0.5))) for k in sorted(keys)}
+        raw = small_raw(methods=[{"name": name, "params": params}])
         assert accepted(raw) == (keys <= names and required <= keys)
 
     @settings(deadline=None)
@@ -216,8 +282,8 @@ class TestConfig:
                                        max_size=4, unique=True)):
             names, required = keyword_params(getattr(optimizers, METHODS[name]), skip=2)
             keys = required | data.draw(st.sets(st.sampled_from(sorted(names))))
-            methods.append({"name": name,
-                            "params": {k: data.draw(finite) for k in sorted(keys)}})
+            methods.append({"name": name, "params": {k: data.draw(PARAM_VALUES[k])
+                                                     for k in sorted(keys)}})
         raw = {
             "problem": {"name": "quadratic_diag",
                         "params": {"coeffs": data.draw(st.lists(finite, min_size=1))},
@@ -245,8 +311,7 @@ class TestRunDeterminism:
         b = run_experiment(cfg, threads=1)
         for ta, tb in zip(a.traces, b.traces):
             assert ta.run_id == tb.run_id
-            for ra, rb in zip(ta.records, tb.records):
-                assert ra == rb
+            assert ta.records.tolist() == tb.records.tolist()
 
     def test_thread_count_invariance(self):
         cfg = small_config()
@@ -254,7 +319,7 @@ class TestRunDeterminism:
         b = run_experiment(cfg, threads=4)
         for ta, tb in zip(a.traces, b.traces):
             assert ta.run_id == tb.run_id
-            assert ta.records == tb.records
+            assert ta.records.tolist() == tb.records.tolist()
 
     def test_adding_methods_preserves_other_runs(self):
         # Substreams are keyed by run id, not position, so extending the
@@ -269,7 +334,7 @@ class TestRunDeterminism:
         }
         big_traces = {t.run_id: t for t in run_experiment(cfg_big).traces}
         for run_id, tr in small_traces.items():
-            assert big_traces[run_id].records == tr.records
+            assert big_traces[run_id].records.tolist() == tr.records.tolist()
 
 
 class TestDivergenceContainment:
@@ -317,7 +382,7 @@ class TestRecordOverflow:
             assert np.isinf(obj.f_gap(np.array([1e205, 1e205])))
         result = run_experiment(cfg)
         (trace,) = result.traces
-        assert trace.status_field() == "diverged@0" and trace.records == []
+        assert trace.status_field() == "diverged@0" and len(trace.records) == 0
         assert result.aggregates[trace.method].indices.size == 0
 
 
@@ -518,16 +583,50 @@ class TestSimulateLockstep:
             assert np.array_equal(blocks[:, row], [rng.standard_normal(2) for _ in range(5)])
 
 
+def reference_aggregates(traces) -> dict[str, dict[str, np.ndarray]]:
+    """Per-method, per-index mean and CI, grouping record by record in seed
+    order; a std that overflows is taken again on values scaled by their
+    largest magnitude."""
+    per_method = {}
+    for tr in sorted(traces, key=lambda t: (t.method, t.seed)):
+        per_index = per_method.setdefault(tr.method, {})
+        for rec in tr.records:
+            per_index.setdefault(int(rec.index), []).append(rec)
+    out = {}
+    for method, per_index in per_method.items():
+        indices = sorted(per_index)
+        cols = {"indices": np.array(indices),
+                "times": np.array([per_index[i][0].time for i in indices]),
+                "n_runs": np.array([len(per_index[i]) for i in indices])}
+        for name in ("f_gap", "grad_norm", "step_norm"):
+            means, cis = [], []
+            for i in indices:
+                values = np.array([getattr(r, name) for r in per_index[i]])
+                means.append(values.mean())
+                if values.size < 2:
+                    cis.append(0.0)
+                    continue
+                with np.errstate(over="ignore"):
+                    std = values.std(ddof=1)
+                if not np.isfinite(std):
+                    scale = np.abs(values).max()
+                    std = scale * (values / scale).std(ddof=1)
+                cis.append(1.96 * std / math.sqrt(values.size))
+            cols[f"{name}_mean"], cols[f"{name}_ci"] = np.array(means), np.array(cis)
+        out[method] = cols
+    return out
+
+
 class TestAggregation:
     def _synthetic_traces(self):
         rng = np.random.default_rng(3)
         traces = []
         for seed in range(4):
-            records = [
-                Record(index=i, time=float(i), f_gap=float(rng.uniform()),
-                       grad_norm=float(rng.uniform()), step_norm=float(rng.uniform()))
+            records = make_records([
+                (i, float(i), float(rng.uniform()), float(rng.uniform()),
+                 float(rng.uniform()))
                 for i in range(5)
-            ]
+            ])
             traces.append(Trace(run_id=f"m|seed={seed}", method="m", seed=seed,
                                 records=records))
         return traces
@@ -540,6 +639,48 @@ class TestAggregation:
             np.testing.assert_allclose(agg.f_gap_mean[pos], vals.mean(), atol=1e-12)
             expected_ci = 1.96 * vals.std(ddof=1) / math.sqrt(vals.size)
             np.testing.assert_allclose(agg.f_gap_ci[pos], expected_ci, atol=1e-12)
+
+    def test_matches_a_per_index_loop(self):
+        # Unequal lengths, as diverged runs leave them, in shuffled seed
+        # order, and constant_field's NaN f_gap (it has no optimum).
+        rng = np.random.default_rng(11)
+        traces = []
+        for seed, n in zip([3, 0, 4, 1, 2], [9, 9, 4, 0, 6]):
+            records = make_records([(i, 0.5 * i, *rng.lognormal(0.0, 3.0, 3))
+                                    for i in range(n)])
+            traces.append(Trace(run_id=f"m|seed={seed}", method="m", seed=seed,
+                                records=records, status="diverged", diverged_at=n))
+        traces += run_experiment(small_config(
+            problem={"name": "constant_field", "params": {"c": [1.0, -2.0]}},
+            methods=[{"name": "sgd", "params": {"eta": 0.1}}])).traces
+        aggregates = aggregate_traces(traces)
+        expected = reference_aggregates(traces)
+        assert sorted(aggregates) == sorted(expected) == ["m", "sgd(eta=0.1)"]
+        assert np.isnan(aggregates["sgd(eta=0.1)"].f_gap_mean).all()
+        assert aggregates["m"].n_runs.tolist() == [4, 4, 4, 4, 3, 3, 2, 2, 2]
+        for method, agg in aggregates.items():
+            for name, column in expected[method].items():
+                np.testing.assert_array_equal(getattr(agg, name), column, err_msg=name)
+
+    def test_ci_of_overflowing_spread_is_finite(self):
+        # Six frictionless stiff paths double every step until their records
+        # overflow; f_gap reaches 1e307, whose unscaled std overflows.
+        cfg = small_config(
+            problem={"name": "quadratic_diag", "params": {"coeffs": [1.5, 1.5]}},
+            methods=[{"name": "hb_ode", "params": {"viscosity": 0.0, "sigma": 1.0}}],
+            run={"kind": "simulate", "t_end": 1201.0, "h": 1.0, "eps_start": 1.0,
+                 "x0": [0.0, 0.0], "n_seeds": 6, "record_stride": 1},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_experiment(cfg)
+        assert all(t.status == "diverged" for t in result.traces)
+        (agg,) = result.aggregates.values()
+        assert agg.f_gap_mean.max() > 1e300
+        for name in ("f_gap", "grad_norm", "step_norm"):
+            assert np.isfinite(getattr(agg, f"{name}_ci")).all(), name
+        expected = reference_aggregates(result.traces)[agg.method]
+        np.testing.assert_array_equal(agg.f_gap_ci, expected["f_gap_ci"])
 
     def test_single_run_has_zero_interval(self):
         traces = self._synthetic_traces()[:1]
@@ -636,7 +777,7 @@ class TestEmission:
     def test_three_records_three_rows(self, tmp_path):
         from memgrad.harness import ExperimentResult
 
-        records = [Record(i, float(i), 0.5 / (i + 1), 1.0, 0.1) for i in range(3)]
+        records = make_records([(i, float(i), 0.5 / (i + 1), 1.0, 0.1) for i in range(3)])
         tr = Trace(run_id="m|seed=0", method="m", seed=0, records=records)
         result = ExperimentResult(traces=[tr], aggregates=aggregate_traces([tr]),
                                   config=small_config())
@@ -655,6 +796,30 @@ class TestEmission:
             np.testing.assert_array_equal(agg.indices, other.indices)
             np.testing.assert_allclose(agg.f_gap_mean, other.f_gap_mean, atol=1e-12)
             np.testing.assert_allclose(agg.f_gap_ci, other.f_gap_ci, atol=1e-12)
+
+    def test_read_back_gives_every_column_exactly(self, tmp_path):
+        # A diverged@k run, completed runs, and constant_field's NaN f_gap.
+        diverging = run_experiment(small_config(
+            problem={"name": "quadratic_diag", "params": {"coeffs": [50.0, 50.0]}},
+            methods=[{"name": "hb", "params": {"eta": 10.0, "beta": 0.99}},
+                     {"name": "sgd", "params": {"eta": 0.001}}],
+            run={"kind": "optimize", "iterations": 400, "x0": [1.0, 1.0],
+                 "n_seeds": 2, "record_stride": 1}))
+        nan_gap = run_experiment(small_config(
+            problem={"name": "constant_field", "params": {"c": [1.0, -2.0]}},
+            methods=[{"name": "adam", "params": {"eta": 0.1}}]))
+        traces = diverging.traces + nan_gap.traces
+        assert {t.status_field().split("@")[0] for t in traces} == {"completed", "diverged"}
+        emit(harness.ExperimentResult(traces, aggregate_traces(traces), diverging.config),
+             tmp_path)
+        parsed = read_traces_csv(tmp_path / "traces.csv")
+        assert len(parsed) == len(traces)
+        for got, want in zip(parsed, sorted(traces, key=lambda t: (t.method, t.seed))):
+            assert (got.run_id, got.method, got.seed, got.status, got.diverged_at) == \
+                (want.run_id, want.method, want.seed, want.status, want.diverged_at)
+            assert got.records.dtype == RECORD_DTYPE
+            for name in RECORD_DTYPE.names:
+                np.testing.assert_array_equal(got.records[name], want.records[name])
 
     def test_json_mirror_carries_config_hash(self, tmp_path):
         cfg = small_config()
