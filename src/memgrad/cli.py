@@ -81,23 +81,17 @@ def _run_config_command(args, expected_kind: str) -> int:
     return 1 if failures else 0
 
 
-def _write_csv(out_dir: Path, name: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text, encoding="utf-8")
-    print(f"wrote {path}")
-
-
 def _cmd_variance_ode(args) -> int:
     states = continuum.integrate_variance_ode(
         args.model, args.t0, args.t_end, args.h, args.lam, args.sigma2,
         record_stride=args.stride,
     )
-    p3 = np.array([s.p3 for s in states])
+    p3 = states.p3
     print(f"{args.model}: sup p3 = {p3.max():.6g}, p3({states[-1].t:g}) = {p3[-1]:.6g}")
     if args.out is not None:
-        _write_csv(args.out, "variance_ode.csv", "t,p1,p2,p3\n" + "".join(
-            f"{s.t:.17g},{s.p1:.17g},{s.p2:.17g},{s.p3:.17g}\n" for s in states))
+        path = harness.write_csv(args.out / "variance_ode.csv", states.dtype.names,
+                                 [((), states, ())])
+        print(f"wrote {path}")
     return 0
 
 
@@ -111,10 +105,10 @@ def _cmd_isometry(args) -> int:
         f"stderr={se:.3g} closed-form={target:.6g} z={z:+.2f}"
     )
     if args.out is not None:
-        _write_csv(args.out, "isometry.csv",
-                   "power,t,n_paths,h,variance,stderr,closed_form\n"
-                   f"{args.power:.17g},{args.t:.17g},{args.paths},{args.h:.17g},"
-                   f"{var:.17g},{se:.17g},{target:.17g}\n")
+        row = np.rec.fromrecords([(args.power, args.t, args.paths, args.h, var, se, target)],
+                                 names="power,t,n_paths,h,variance,stderr,closed_form")
+        path = harness.write_csv(args.out / "isometry.csv", row.dtype.names, [((), row, ())])
+        print(f"wrote {path}")
     return 0
 
 
@@ -140,10 +134,7 @@ def _cmd_verify(args) -> int:
             for c in checks
         ],
     }
-    report_path = out_dir / "verify_report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
-    written.append(report_path)
+    written.append(harness.write_json(out_dir / "verify_report.json", report))
     for c in checks:
         print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
     for path in written:
@@ -156,16 +147,14 @@ def _cmd_rates(args) -> int:
     spec = theory.BoundSpec(args.kind, params)
     indices = [float(v) for v in args.indices.split(",")]
     names = sorted(params)
-    lines = ["kind," + ",".join(names) + ",t_or_k,bound"]
-    for idx in indices:
-        row = [args.kind] + [f"{float(params[n]):.17g}" for n in names]
-        row += [f"{idx:.17g}", f"{spec.evaluate(idx):.17g}"]
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        _write_csv(args.out, "rates.csv", text)
-    else:
-        sys.stdout.write(text)
+    table = np.rec.fromarrays(
+        [[float(params[n])] * len(indices) for n in names]
+        + [indices, [spec.evaluate(idx) for idx in indices]],
+        names=[*names, "t_or_k", "bound"])
+    path = harness.write_csv(None if args.out is None else args.out / "rates.csv",
+                             ("kind", *table.dtype.names), [((args.kind,), table, ())])
+    if path is not None:
+        print(f"wrote {path}")
     return 0
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "PhaseState",
     "MODELS",
     "SdeSpec",
-    "SecondMomentState",
     "TrajectoryResult",
     "DivergenceError",
     "nesterov_sde",
@@ -95,7 +94,8 @@ class SdeSpec:
     ``grad`` must map a point to a gradient of the same shape and broadcast
     over a leading path axis (true for every objective in ``problems``).
     ``sigma`` may be None or 0 (deterministic), a scalar, or a (d, d)
-    matrix applied to the standard-normal increment.
+    matrix applied to the standard-normal increment; it is held as a float
+    or a float array.
     """
 
     model: str
@@ -119,6 +119,12 @@ class SdeSpec:
                                  "flow, not a phase-space model")
         if not (self.eps_start > 0.0):
             raise ValueError("eps_start must be > 0")
+        if self.sigma is not None:
+            sigma = np.asarray(self.sigma, dtype=float)
+            if sigma.shape not in ((), (self.dim, self.dim)) or not np.isfinite(sigma).all():
+                raise ValueError(f"sigma must be a finite scalar or a {self.dim}x{self.dim} "
+                                 f"matrix, got {self.sigma!r}")
+            object.__setattr__(self, "sigma", float(sigma) if sigma.ndim == 0 else sigma)
 
     # -- time-dependent coefficients ------------------------------------
 
@@ -138,7 +144,7 @@ class SdeSpec:
         return 1.0
 
     def is_deterministic(self) -> bool:
-        return self.sigma is None or not np.any(np.asarray(self.sigma) != 0.0)
+        return self.sigma is None or not np.any(self.sigma)
 
 
 def nesterov_sde(grad, dim, sigma=None, eps_start: float = 1e-12) -> SdeSpec:
@@ -186,8 +192,8 @@ def _em_update(spec: SdeSpec, x, v, h: float, fric: float, gscale: float, xi):
     if xi is None:
         return x_new, v_new
     sigma = spec.sigma
-    noise = (float(sigma) * math.sqrt(h) * xi if np.ndim(sigma) == 0
-             else math.sqrt(h) * (xi @ np.asarray(sigma, dtype=float).T))
+    noise = (sigma * math.sqrt(h) * xi if isinstance(sigma, float)
+             else math.sqrt(h) * (xi @ sigma.T))
     return x_new, v_new - gscale * noise
 
 
@@ -378,28 +384,14 @@ def ito_isometry_mc(
     return variance, stderr
 
 
-@dataclass(frozen=True)
-class SecondMomentState:
-    """Per-coordinate uncentered second moments (E[X^2], E[XV], E[V^2])."""
-
-    p1: float
-    p2: float
-    p3: float
-    t: float
-
-    def cauchy_schwarz_defect(self) -> float:
-        """p2**2 - p1 p3; non-positive for any true moment matrix."""
-        return self.p2**2 - self.p1 * self.p3
-
-
 VARIANCE_MODELS = ("nesterov", "quadratic_forgetting")
 
 
-def variance_ode_rhs(
-    model: str, s: SecondMomentState, lam: float, sigma2: float
-) -> tuple[float, float, float]:
-    """Right-hand side of the second-moment ODEs for a quadratic with
-    curvature ``lam`` and velocity volatility ``sigma2`` (squared).
+def variance_ode_rhs(model: str, s, lam: float, sigma2: float) -> tuple[float, float, float]:
+    """Right-hand side of the second-moment ODEs at the state s = (t, p1, p2,
+    p3), the per-coordinate uncentered moments E[X^2], E[XV], E[V^2] at time
+    t, for a quadratic with curvature ``lam`` and velocity volatility
+    ``sigma2`` (squared).
 
     Nesterov (noise enters V bare):
 
@@ -416,9 +408,9 @@ def variance_ode_rhs(
     """
     if model not in VARIANCE_MODELS:
         raise ValueError(f"unknown variance model {model!r}")
-    if s.t <= 0.0:
+    t, p1, p2, p3 = s
+    if t <= 0.0:
         raise ValueError("t must be > 0")
-    t, p1, p2, p3 = s.t, s.p1, s.p2, s.p3
     if model == "nesterov":
         return (
             2.0 * p2,
@@ -448,9 +440,10 @@ def integrate_variance_ode(
     sigma2: float,
     init: tuple[float, float, float] = (1.0, 0.0, 0.0),
     record_stride: int = 1,
-) -> list[SecondMomentState]:
+) -> np.recarray:
     """The second-moment system solved by adaptive DOP853 and returned on
-    the grid t0 + j h at every ``record_stride``-th j, ending at t_end.
+    the grid t0 + j h at every ``record_stride``-th j, ending at t_end, as a
+    record array of (t, p1, p2, p3), one row per grid time.
 
     Every returned state must satisfy the Cauchy-Schwarz constraint
     p2**2 <= p1 p3 up to ``CS_TOL`` (scaled by the moment magnitude); the
@@ -462,8 +455,7 @@ def integrate_variance_ode(
         raise ValueError("need 0 < t0 < t_end and h > 0")
 
     def rhs(t, y):
-        return variance_ode_rhs(model, SecondMomentState(y[0], y[1], y[2], t),
-                                lam, sigma2)
+        return variance_ode_rhs(model, (t, *y), lam, sigma2)
 
     sol = solve_ivp(rhs, (t0, t_end), np.asarray(init, dtype=float),
                     method="DOP853", t_eval=_output_grid(t0, t_end, h, record_stride),
@@ -477,8 +469,7 @@ def integrate_variance_ode(
     if not ok.all():
         t = float(sol.t[np.argmin(ok)])
         raise DivergenceError(f"Cauchy-Schwarz violation at t = {t}", time=t)
-    return [SecondMomentState(float(a), float(b), float(c), float(t))
-            for a, b, c, t in zip(p1, p2, p3, sol.t)]
+    return np.rec.fromarrays([sol.t, p1, p2, p3], names="t,p1,p2,p3")
 
 
 def time_warp_tau(t, p: float):

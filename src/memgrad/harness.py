@@ -9,14 +9,15 @@ byte-identical output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import inspect
-import io
 import itertools
 import json
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -30,12 +31,14 @@ from memgrad.theory import BOUND_KINDS, BoundSpec
 __all__ = [
     "ExperimentConfig",
     "RECORD_DTYPE",
+    "AGGREGATE_DTYPE",
     "Trace",
-    "Aggregate",
     "BoundCheckReport",
     "run_experiment",
     "check_bounds",
     "emit",
+    "write_csv",
+    "write_json",
     "read_traces_csv",
 ]
 
@@ -44,6 +47,10 @@ RECORD_DTYPE = np.dtype([("index", np.int64), ("time", np.float64), ("f_gap", np
                          ("grad_norm", np.float64), ("step_norm", np.float64)])
 STATS = RECORD_DTYPE.names[2:]
 CSV_COLUMNS = ("run_id", "method", "seed", *RECORD_DTYPE.names, "status")
+# One row per (method, index): the aggregates.csv columns after method.
+AGGREGATE_DTYPE = np.dtype([("index", np.int64), ("time", np.float64), ("n_runs", np.int64),
+                            *((f"{name}_{part}", np.float64)
+                              for name in STATS for part in ("mean", "ci"))])
 
 
 def _fmt(x) -> str:
@@ -123,9 +130,7 @@ class ExperimentConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def validate(self) -> None:
         """Reject a config that would fail or silently ignore part of itself.
@@ -158,9 +163,15 @@ class ExperimentConfig:
         name = self.problem["name"]
         try:
             _bind(_problem_builder(name), **self.problem.get("params", {}))
-            _noise_model(noise)
         except (TypeError, ValueError) as err:
             raise ValueError(f"problem {name}: {err}") from None
+        try:
+            sigma = _noise_model(noise).sigma
+            if np.ndim(sigma) and len(sigma) != x0.size:
+                raise ValueError(f"sigma is {len(sigma)}x{len(sigma)}, but x0 has "
+                                 f"length {x0.size}")
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"problem.noise: {err}") from None
         if not self.methods:
             raise ValueError("at least one method is required")
         for entry in self.methods:
@@ -278,8 +289,8 @@ def _method_call(kind: str, name: str, params: dict):
     """The stepper or SDE-model constructor a method entry selects, and the
     keyword arguments its params become.
 
-    For models, ``memory`` and ``memory_param`` become one MemoryFunction
-    and a list ``sigma`` becomes an array; the run adds ``eps_start``.
+    For models, ``memory`` and ``memory_param`` become one MemoryFunction;
+    the run adds ``eps_start``.
     """
     kwargs = dict(params)
     if kind == "optimize":
@@ -288,8 +299,6 @@ def _method_call(kind: str, name: str, params: dict):
         return getattr(optimizers, METHODS[name]), kwargs
     if name not in continuum.MODELS:
         raise ValueError(f"{name!r} is not valid for simulate runs")
-    if isinstance(kwargs.get("sigma"), list):
-        kwargs["sigma"] = np.asarray(kwargs["sigma"], dtype=float)
     if "memory" in kwargs:
         kwargs["memory"] = MemoryFunction.from_name(kwargs["memory"],
                                                     kwargs.pop("memory_param", None))
@@ -303,10 +312,7 @@ def _problem_builder(name: str):
 
 
 def _noise_model(noise_cfg: dict) -> problems.NoiseModel:
-    sigma = noise_cfg.get("sigma")
-    if isinstance(sigma, list):
-        sigma = np.asarray(sigma, dtype=float)
-    return problems.NoiseModel(kind=noise_cfg.get("kind", "none"), sigma=sigma)
+    return problems.NoiseModel(kind=noise_cfg.get("kind", "none"), sigma=noise_cfg.get("sigma"))
 
 
 def build_objective(problem_cfg: dict) -> tuple[problems.Objective, problems.NoiseModel]:
@@ -336,48 +342,39 @@ class Trace:
         return f"diverged@{self.diverged_at}"
 
 
-@dataclass
-class Aggregate:
-    """Across-seed mean and normal-approximation 95% interval per index."""
-
-    method: str
-    indices: np.ndarray
-    times: np.ndarray
-    n_runs: np.ndarray
-    f_gap_mean: np.ndarray
-    f_gap_ci: np.ndarray
-    grad_norm_mean: np.ndarray
-    grad_norm_ci: np.ndarray
-    step_norm_mean: np.ndarray
-    step_norm_ci: np.ndarray
+def _rescaled(reduce, rows: np.ndarray) -> np.ndarray:
+    """reduce(rows), one value per row; a row whose value overflows is reduced
+    again scaled by its largest magnitude."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = reduce(rows)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        scale = np.abs(rows[bad]).max(axis=1)
+        out[bad] = scale * reduce(rows[bad] / scale[:, None])
+    return out
 
 
 def _mean_ci(values: np.ndarray, starts: np.ndarray, counts: np.ndarray):
     """Mean and 95% half-width of each group values[start:start + count].
 
     Groups of one size are the rows of one 2-D block, reduced row by row with
-    the bits of ``mean()`` and ``std(ddof=1)`` on each group alone.  A std that
-    overflows is taken again on the row scaled by its largest magnitude.
+    the bits of ``mean()`` and ``std(ddof=1)`` on each group alone.  A mean or
+    std that overflows is taken again on the row scaled by its largest
+    magnitude.
     """
     mean, ci = np.empty(starts.size), np.zeros(starts.size)
     for n in np.unique(counts).tolist():
         sel = counts == n
         rows = values[starts[sel, None] + np.arange(n)]
-        mean[sel] = rows.mean(axis=1)
-        if n < 2:
-            continue
-        with np.errstate(over="ignore"):
-            std = rows.std(axis=1, ddof=1)
-        bad = ~np.isfinite(std)
-        if bad.any():
-            scale = np.abs(rows[bad]).max(axis=1, keepdims=True)
-            std[bad] = scale[:, 0] * (rows[bad] / scale).std(axis=1, ddof=1)
-        ci[sel] = 1.96 * std / math.sqrt(n)
+        mean[sel] = _rescaled(lambda r: r.mean(axis=1), rows)
+        if n > 1:
+            ci[sel] = 1.96 * _rescaled(lambda r: r.std(axis=1, ddof=1), rows) / math.sqrt(n)
     return mean, ci
 
 
-def aggregate_traces(traces: list[Trace]) -> dict[str, Aggregate]:
-    """Deterministic reduction: per-method, per-index mean and CI.
+def aggregate_traces(traces: list[Trace]) -> dict[str, np.recarray]:
+    """Deterministic reduction: per method, an AGGREGATE_DTYPE record array of
+    the per-index mean and CI, in index order.
 
     Runs that diverged contribute records up to their failure and are
     excluded (with n_runs adjusted) beyond it.  Each index's values are
@@ -392,10 +389,11 @@ def aggregate_traces(traces: list[Trace]) -> dict[str, Aggregate]:
         rows = rows[np.argsort(rows["index"], kind="stable")]
         indices, starts, n_runs = np.unique(rows["index"], return_index=True,
                                             return_counts=True)
-        cols = {f"{name}_{part}": col for name in STATS
-                for part, col in zip(("mean", "ci"), _mean_ci(rows[name], starts, n_runs))}
-        out[method] = Aggregate(method=method, indices=indices, times=rows["time"][starts],
-                                n_runs=n_runs, **cols)
+        agg = np.recarray(indices.size, dtype=AGGREGATE_DTYPE)
+        agg.index, agg.time, agg.n_runs = indices, rows["time"][starts], n_runs
+        for name in STATS:
+            agg[f"{name}_mean"], agg[f"{name}_ci"] = _mean_ci(rows[name], starts, n_runs)
+        out[method] = agg
     return out
 
 
@@ -609,7 +607,7 @@ def check_bounds(traces: list[Trace], bound: BoundSpec, method: str) -> BoundChe
         return BoundCheckReport(status="cannot_check", method=method, kind=bound.kind,
                                 reason=reason)
     use_time = BOUND_KINDS[bound.kind].index == "t"
-    axis = agg.times if use_time else agg.indices
+    axis = agg.time if use_time else agg.index
     n_checked = n_violations = 0
     max_excess, first_violation = 0.0, None
     for pos, idx in enumerate(axis):
@@ -648,67 +646,68 @@ def emit(result: ExperimentResult, out_dir, formats=("csv",)) -> list[Path]:
     sorted by (method, seed, index), floats with 17 significant digits.
     """
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise OSError(f"cannot create output directory {out_dir}: {err}") from err
+    traces = sorted(result.traces, key=lambda t: (t.method, t.seed))
     written = []
-
     if "csv" in formats:
-        path = out_dir / "traces.csv"
-        _write_text(path, [_traces_csv_text(result.traces)])
-        written.append(path)
-        path = out_dir / "aggregates.csv"
-        _write_text(path, [_aggregates_csv_text(result.aggregates)])
-        written.append(path)
+        written.append(write_csv(
+            out_dir / "traces.csv", CSV_COLUMNS,
+            (((t.run_id, t.method, t.seed), t.records, (t.status_field(),)) for t in traces)))
+        written.append(write_csv(
+            out_dir / "aggregates.csv", ("method", *AGGREGATE_DTYPE.names),
+            (((method,), result.aggregates[method], ()) for method in sorted(result.aggregates))))
     if "json" in formats:
-        path = out_dir / "result.json"
-        traces = [{"run_id": t.run_id, "method": t.method, "seed": t.seed,
-                   "status": t.status_field(),
-                   "records": [dict(zip(RECORD_DTYPE.names,
-                                        (None if v != v else v for v in row)))
-                               for row in t.records.tolist()]}
-                  for t in sorted(result.traces, key=lambda t: (t.method, t.seed))]
-        payload = {"config": result.config.to_dict(),
-                   "config_sha256": result.config.config_hash(), "traces": traces}
-        # Streamed: holding all of the indented encoder's chunks dominates peak memory.
-        encoder = json.JSONEncoder(indent=2, sort_keys=True)
-        _write_text(path, itertools.chain(encoder.iterencode(payload), "\n"))
-        written.append(path)
+        records = [{"run_id": t.run_id, "method": t.method, "seed": t.seed,
+                    "status": t.status_field(),
+                    "records": [dict(zip(RECORD_DTYPE.names,
+                                         (None if v != v else v for v in row)))
+                                for row in t.records.tolist()]}
+                   for t in traces]
+        written.append(write_json(out_dir / "result.json", {
+            "config": result.config.to_dict(),
+            "config_sha256": result.config.config_hash(), "traces": records}))
     return written
 
 
-def _write_text(path: Path, chunks) -> None:
+@contextlib.contextmanager
+def _output(path):
+    """path opened for writing, its directory created first; stdout for None.
+    An OSError names the directory or the file."""
+    if path is None:
+        yield sys.stdout
+        return
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise OSError(f"cannot create output directory {path.parent}: {err}") from err
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            yield fh
     except OSError as err:
         raise OSError(f"cannot write {path}: {err}") from err
 
 
-def _traces_csv_text(traces: list[Trace]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for tr in sorted(traces, key=lambda t: (t.method, t.seed)):
-        columns = [map(_fmt, tr.records[name].tolist()) for name in RECORD_DTYPE.names]
-        head, tail = (tr.run_id, tr.method, tr.seed), (tr.status_field(),)
-        writer.writerows(head + row + tail for row in zip(*columns))
-    return buf.getvalue()
+def write_csv(path, header, blocks) -> Path | None:
+    """Stream a CSV to path (stdout for None) and return path: the header, then
+    for each (head, records, tail) block one row per record, the record's
+    values written with ``_fmt`` between the fixed fields head and tail."""
+    with _output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for head, records, tail in blocks:
+            columns = [map(_fmt, records[name].tolist()) for name in records.dtype.names]
+            writer.writerows(head + row + tail for row in zip(*columns))
+    return path
 
 
-def _aggregates_csv_text(aggregates: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    stats = [f"{name}_{part}" for name in STATS for part in ("mean", "ci")]
-    writer.writerow(["method", "index", "time", "n_runs", *stats])
-    for method in sorted(aggregates):
-        agg = aggregates[method]
-        for i in range(agg.indices.size):
-            writer.writerow([method, int(agg.indices[i]), _fmt(float(agg.times[i])),
-                             int(agg.n_runs[i]),
-                             *(_fmt(float(getattr(agg, col)[i])) for col in stats)])
-    return buf.getvalue()
+def write_json(path, obj) -> Path:
+    """Stream obj to path as indented, key-sorted JSON and a newline, and
+    return path.  Streamed: holding all of the indented encoder's chunks
+    dominates peak memory."""
+    with _output(path) as fh:
+        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj))
+        fh.write("\n")
+    return path
 
 
 def read_traces_csv(path) -> list[Trace]:

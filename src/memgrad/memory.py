@@ -186,22 +186,26 @@ def continuous_weight(mf: MemoryFunction, s, t):
     return mf.derivative(s) / mf.value(t)
 
 
-def weight_normalization(
-    mf: MemoryFunction, t: float, panels: int = 10_000, eps: float = 1e-12
-) -> float:
-    """Quadrature of the continuous weights: integral of m'(s)/m(t) over [eps, t].
+# Simpson panels and start point of the weight_normalization quadrature.
+NORMALIZATION_PANELS = 10_000
+NORMALIZATION_EPS = 1e-12
+
+
+def weight_normalization(mf: MemoryFunction, t: float) -> float:
+    """Quadrature of the continuous weights: integral of m'(s)/m(t) over
+    [NORMALIZATION_EPS, t].
 
     Composite Simpson on the union of a log-spaced and a uniform mesh with
-    ``panels`` panels in total.  The log-spaced half keeps the rule accurate
-    when m' has an unbounded derivative at s = 0 (e.g. super-exponential
-    memory with alpha < 1); the uniform half resolves integrands whose mass
-    concentrates near s = t (exponential memory at large t).  The result is
-    1 up to quadrature error and the O(m(eps)/m(t)) truncation from the
-    eps start.
+    ``NORMALIZATION_PANELS`` panels in total.  The log-spaced half keeps the
+    rule accurate when m' has an unbounded derivative at s = 0 (e.g.
+    super-exponential memory with alpha < 1); the uniform half resolves
+    integrands whose mass concentrates near s = t (exponential memory at
+    large t).  The result is 1 up to quadrature error and the
+    O(m(eps)/m(t)) truncation from the eps start.
     """
+    eps, half = NORMALIZATION_EPS, NORMALIZATION_PANELS // 2
     if not (t > eps):
         raise ValueError(f"need t > {eps}, got {t}")
-    half = max(panels // 2, 1)
     nodes = np.union1d(np.geomspace(eps, t, half + 1), np.linspace(eps, t, half + 1))
     a, b = nodes[:-1], nodes[1:]
     mid = 0.5 * (a + b)

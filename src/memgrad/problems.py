@@ -45,7 +45,6 @@ class Objective:
     x_star: np.ndarray | None = None
     L: float | None = None
     mu: float | None = None
-    tau: float | None = None
     grad_component: Callable[[int, np.ndarray], np.ndarray] | None = None
     n_components: int | None = None
 
@@ -62,7 +61,8 @@ class NoiseModel:
 
     kind 'none': the exact gradient.
     kind 'gaussian': grad(x) + sigma * xi with standard normal xi; sigma
-        may be a scalar or a (d, d) matrix.
+        may be a scalar or a (d, d) matrix, and is held as a float or a
+        float array.
     kind 'finite_sum': a uniformly sampled component gradient of a
         finite-sum objective.
     """
@@ -75,6 +75,13 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "gaussian" and self.sigma is None:
             raise ValueError("gaussian noise needs a sigma")
+        if self.sigma is not None:
+            sigma = np.asarray(self.sigma, dtype=float)
+            if (sigma.ndim not in (0, 2) or sigma.shape[:1] != sigma.shape[1:]
+                    or not np.isfinite(sigma).all()):
+                raise ValueError(f"sigma must be a finite scalar or a square matrix, "
+                                 f"got {self.sigma!r}")
+            object.__setattr__(self, "sigma", float(sigma) if sigma.ndim == 0 else sigma)
 
     def variance_per_coordinate(self) -> float:
         """Largest per-coordinate noise variance, for bound parameters."""
@@ -82,10 +89,9 @@ class NoiseModel:
             return 0.0
         if self.kind == "gaussian":
             sigma = self.sigma
-            if np.isscalar(sigma):
-                return float(sigma) ** 2
-            s = np.asarray(sigma, dtype=float)
-            return float(np.max(np.linalg.eigvalsh(s @ s.T)))
+            if isinstance(sigma, float):
+                return sigma**2
+            return float(np.max(np.linalg.eigvalsh(sigma @ sigma.T)))
         raise ValueError("finite-sum variance must be estimated from the problem")
 
 
@@ -100,9 +106,7 @@ def stochastic_gradient(
         g = np.asarray(obj.grad(x), dtype=float)
         xi = rng.standard_normal(obj.dim)
         sigma = noise.sigma
-        if np.isscalar(sigma):
-            return g + float(sigma) * xi
-        return g + np.asarray(sigma, dtype=float) @ xi
+        return g + (sigma * xi if isinstance(sigma, float) else sigma @ xi)
     if obj.grad_component is None or obj.n_components is None:
         raise ValueError(f"objective {obj.name!r} has no finite-sum components")
     i = int(rng.integers(obj.n_components))
@@ -137,7 +141,6 @@ def quadratic_diag(coeffs) -> Objective:
         x_star=np.zeros(d),
         L=2.0 * float(c.max()),
         mu=2.0 * float(c.min()),
-        tau=1.0,
     )
 
 
@@ -170,7 +173,6 @@ def quartic_2d() -> Objective:
         f_star=0.0,
         x_star=np.zeros(2),
         L=box_L,
-        tau=1.0,
     )
 
 
@@ -245,7 +247,6 @@ def logistic_synthetic(
         name=f"logistic_synthetic(n={n}, dim={dim}, seed={seed})",
         L=L,
         mu=l2 if l2 > 0.0 else None,
-        tau=1.0,
         grad_component=grad_component,
         n_components=n,
     )

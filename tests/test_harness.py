@@ -17,8 +17,8 @@ from memgrad.harness import (
     METHODS,
     PROBLEMS,
     RECORD_BLOCK,
+    AGGREGATE_DTYPE,
     RECORD_DTYPE,
-    Aggregate,
     ExperimentConfig,
     Trace,
     aggregate_traces,
@@ -383,7 +383,7 @@ class TestRecordOverflow:
         result = run_experiment(cfg)
         (trace,) = result.traces
         assert trace.status_field() == "diverged@0" and len(trace.records) == 0
-        assert result.aggregates[trace.method].indices.size == 0
+        assert result.aggregates[trace.method].index.size == 0
 
 
 class TestSgdDivergence:
@@ -595,8 +595,8 @@ def reference_aggregates(traces) -> dict[str, dict[str, np.ndarray]]:
     out = {}
     for method, per_index in per_method.items():
         indices = sorted(per_index)
-        cols = {"indices": np.array(indices),
-                "times": np.array([per_index[i][0].time for i in indices]),
+        cols = {"index": np.array(indices),
+                "time": np.array([per_index[i][0].time for i in indices]),
                 "n_runs": np.array([len(per_index[i]) for i in indices])}
         for name in ("f_gap", "grad_norm", "step_norm"):
             means, cis = [], []
@@ -634,7 +634,7 @@ class TestAggregation:
     def test_mean_and_ci_against_reference(self):
         traces = self._synthetic_traces()
         agg = aggregate_traces(traces)["m"]
-        for pos, idx in enumerate(agg.indices):
+        for pos, idx in enumerate(agg.index):
             vals = np.array([t.records[pos].f_gap for t in traces])
             np.testing.assert_allclose(agg.f_gap_mean[pos], vals.mean(), atol=1e-12)
             expected_ci = 1.96 * vals.std(ddof=1) / math.sqrt(vals.size)
@@ -675,11 +675,11 @@ class TestAggregation:
             warnings.simplefilter("error")
             result = run_experiment(cfg)
         assert all(t.status == "diverged" for t in result.traces)
-        (agg,) = result.aggregates.values()
+        ((method, agg),) = result.aggregates.items()
         assert agg.f_gap_mean.max() > 1e300
         for name in ("f_gap", "grad_norm", "step_norm"):
             assert np.isfinite(getattr(agg, f"{name}_ci")).all(), name
-        expected = reference_aggregates(result.traces)[agg.method]
+        expected = reference_aggregates(result.traces)[method]
         np.testing.assert_array_equal(agg.f_gap_ci, expected["f_gap_ci"])
 
     def test_single_run_has_zero_interval(self):
@@ -793,7 +793,7 @@ class TestEmission:
         again = aggregate_traces(parsed)
         for method, agg in result.aggregates.items():
             other = again[method]
-            np.testing.assert_array_equal(agg.indices, other.indices)
+            np.testing.assert_array_equal(agg.index, other.index)
             np.testing.assert_allclose(agg.f_gap_mean, other.f_gap_mean, atol=1e-12)
             np.testing.assert_allclose(agg.f_gap_ci, other.f_gap_ci, atol=1e-12)
 
