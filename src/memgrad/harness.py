@@ -312,7 +312,8 @@ def _problem_builder(name: str):
 
 
 def _noise_model(noise_cfg: dict) -> problems.NoiseModel:
-    return problems.NoiseModel(kind=noise_cfg.get("kind", "none"), sigma=noise_cfg.get("sigma"))
+    return problems.NoiseModel(kind=noise_cfg.get("kind", "none"),
+                               sigma=noise_cfg.get("sigma"))
 
 
 def build_objective(problem_cfg: dict) -> tuple[problems.Objective, problems.NoiseModel]:
@@ -654,17 +655,18 @@ def emit(result: ExperimentResult, out_dir, formats=("csv",)) -> list[Path]:
             (((t.run_id, t.method, t.seed), t.records, (t.status_field(),)) for t in traces)))
         written.append(write_csv(
             out_dir / "aggregates.csv", ("method", *AGGREGATE_DTYPE.names),
-            (((method,), result.aggregates[method], ()) for method in sorted(result.aggregates))))
+            (((method,), result.aggregates[method], ())
+             for method in sorted(result.aggregates))))
     if "json" in formats:
-        records = [{"run_id": t.run_id, "method": t.method, "seed": t.seed,
-                    "status": t.status_field(),
-                    "records": [dict(zip(RECORD_DTYPE.names,
-                                         (None if v != v else v for v in row)))
-                                for row in t.records.tolist()]}
-                   for t in traces]
+        runs = [{"run_id": t.run_id, "method": t.method, "seed": t.seed,
+                 "status": t.status_field(),
+                 "records": [dict(zip(RECORD_DTYPE.names,
+                                      (None if v != v else v for v in row)))
+                             for row in t.records.tolist()]}
+                for t in traces]
         written.append(write_json(out_dir / "result.json", {
             "config": result.config.to_dict(),
-            "config_sha256": result.config.config_hash(), "traces": records}))
+            "config_sha256": result.config.config_hash(), "traces": runs}))
     return written
 
 

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from memgrad import continuum, theory
 from memgrad.cli import main
 from memgrad.harness import ExperimentConfig
 
@@ -142,6 +144,50 @@ class TestSmallTools:
         assert code == 0
         assert out.splitlines()[0] == "kind,d,dist2,p,t_or_k,bound"
         assert "0.25" in out
+
+
+class TestSmallToolFiles:
+    """Each file matches the f-string rows the tools wrote before they shared
+    the harness CSV writer."""
+
+    def test_variance_ode_csv(self, capsys, tmp_path):
+        assert main(["variance-ode", "--model", "quadratic_forgetting", "--t0", "0.1",
+                     "--t-end", "2.0", "--stride", "50", "--out", str(tmp_path)]) == 0
+        states = continuum.integrate_variance_ode("quadratic_forgetting", 0.1, 2.0, 1e-3,
+                                                  1.0, 1.0, record_stride=50)
+        expected = "t,p1,p2,p3\n" + "".join(
+            f"{s.t:.17g},{s.p1:.17g},{s.p2:.17g},{s.p3:.17g}\n" for s in states)
+        assert (tmp_path / "variance_ode.csv").read_text() == expected
+        assert capsys.readouterr().out.endswith(f"wrote {tmp_path / 'variance_ode.csv'}\n")
+
+    def test_isometry_csv(self, capsys, tmp_path):
+        assert main(["isometry", "--power", "1.5", "--t", "2", "--paths", "1000",
+                     "--h", "1e-2", "--seed", "4", "--out", str(tmp_path)]) == 0
+        var, se = continuum.ito_isometry_mc(1.5, 2.0, 1000, 1e-2, np.random.default_rng(4))
+        target = 2.0 ** 4.0 / 4.0
+        assert (tmp_path / "isometry.csv").read_text() == (
+            "power,t,n_paths,h,variance,stderr,closed_form\n"
+            f"{1.5:.17g},{2.0:.17g},{1000},{1e-2:.17g},{var:.17g},{se:.17g},{target:.17g}\n")
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_rates_csv(self, capsys, tmp_path, to_file):
+        params = {"p": 2, "eta": 0.5, "d": 2, "dist2": 2.0, "varsigma2": 0.25}
+        argv = ["rates", "--kind", "memsgd_discrete", "--indices", "0,10,100,1000",
+                "--params", json.dumps(params)]
+        assert main(argv + (["--out", str(tmp_path)] if to_file else [])) == 0
+        spec = theory.BoundSpec("memsgd_discrete", params)
+        names = sorted(params)
+        lines = ["kind," + ",".join(names) + ",t_or_k,bound"]
+        for idx in (0.0, 10.0, 100.0, 1000.0):
+            row = ["memsgd_discrete"] + [f"{float(params[n]):.17g}" for n in names]
+            lines.append(",".join(row + [f"{idx:.17g}", f"{spec.evaluate(idx):.17g}"]))
+        expected = "\n".join(lines) + "\n"
+        out = capsys.readouterr().out
+        if to_file:
+            assert (tmp_path / "rates.csv").read_text() == expected
+            assert out == f"wrote {tmp_path / 'rates.csv'}\n"
+        else:
+            assert out == expected
 
 
 class TestVerifyCommand:

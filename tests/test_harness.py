@@ -1,9 +1,12 @@
 """Config round-trips, run determinism, aggregation, bounds, emission."""
 
 import copy
+import csv
 import inspect
+import io
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -19,7 +22,9 @@ from memgrad.harness import (
     RECORD_BLOCK,
     AGGREGATE_DTYPE,
     RECORD_DTYPE,
+    STATS,
     ExperimentConfig,
+    ExperimentResult,
     Trace,
     aggregate_traces,
     build_objective,
@@ -153,6 +158,35 @@ class TestConfig:
             ExperimentConfig.from_dict(raw)
         assert str(err.value).startswith(f"{where}: ")
         assert f"'{key}'" in str(err.value)
+
+    @pytest.mark.parametrize("sigma", [np.eye(3).tolist(), [0.5, 0.5], float("inf")],
+                             ids=["3x3", "vector", "inf"])
+    def test_sigma_of_another_shape_rejected_at_load(self, sigma):
+        problem = {"name": "quadratic_diag", "params": {"coeffs": [1.0, 1.0]}}
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_dict(small_raw(
+                problem=dict(problem, noise={"kind": "gaussian", "sigma": sigma})))
+        assert str(err.value).startswith("problem.noise: ")
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_dict(small_raw(
+                problem=problem, run=SIMULATE_RUN,
+                methods=[{"name": "hb_ode", "params": {"viscosity": 1.0, "sigma": sigma}}]))
+        assert str(err.value).startswith("method hb_ode(sigma=")
+        assert "sigma must be a finite scalar or a 2x2 matrix" in str(err.value)
+
+    def test_list_sigma_becomes_a_float_array(self):
+        sigma = [[0.5, 0], [0, 1]]
+        cfg = small_config(
+            problem={"name": "quadratic_diag", "params": {"coeffs": [1.0, 1.0]},
+                     "noise": {"kind": "gaussian", "sigma": sigma}},
+            run=SIMULATE_RUN,
+            methods=[{"name": "hb_ode", "params": {"viscosity": 1.0, "sigma": sigma}}])
+        _, noise = build_objective(cfg.problem)
+        build, kwargs = harness._method_call("simulate", "hb_ode", cfg.methods[0]["params"])
+        for held in (noise.sigma, build(None, 2, **kwargs).sigma):
+            assert held.dtype == np.float64
+            np.testing.assert_array_equal(held, sigma)
+        assert cfg.problem["noise"]["sigma"] is sigma
 
     @pytest.mark.parametrize("formats", [[], ["csv", "xml"], "csv"])
     def test_bad_output_formats_rejected_at_load(self, formats):
@@ -585,8 +619,8 @@ class TestSimulateLockstep:
 
 def reference_aggregates(traces) -> dict[str, dict[str, np.ndarray]]:
     """Per-method, per-index mean and CI, grouping record by record in seed
-    order; a std that overflows is taken again on values scaled by their
-    largest magnitude."""
+    order; a mean or std that overflows is taken again on values scaled by
+    their largest magnitude."""
     per_method = {}
     for tr in sorted(traces, key=lambda t: (t.method, t.seed)):
         per_index = per_method.setdefault(tr.method, {})
@@ -602,7 +636,12 @@ def reference_aggregates(traces) -> dict[str, dict[str, np.ndarray]]:
             means, cis = [], []
             for i in indices:
                 values = np.array([getattr(r, name) for r in per_index[i]])
-                means.append(values.mean())
+                with np.errstate(over="ignore"):
+                    mean = values.mean()
+                if np.isinf(mean):
+                    scale = np.abs(values).max()
+                    mean = scale * (values / scale).mean()
+                means.append(mean)
                 if values.size < 2:
                     cis.append(0.0)
                     continue
@@ -681,6 +720,19 @@ class TestAggregation:
             assert np.isfinite(getattr(agg, f"{name}_ci")).all(), name
         expected = reference_aggregates(result.traces)[method]
         np.testing.assert_array_equal(agg.f_gap_ci, expected["f_gap_ci"])
+
+    def test_mean_of_overflowing_values_is_finite(self):
+        traces = [Trace(run_id=f"m|seed={seed}", method="m", seed=seed,
+                        records=make_records([(0, 0.0, 1e308, 1.0, 0.0)]))
+                  for seed in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            agg = aggregate_traces(traces)["m"]
+        assert agg.f_gap_mean.tolist() == [1e308]
+        assert agg.f_gap_ci.tolist() == [0.0]
+        expected = reference_aggregates(traces)["m"]
+        for name, column in expected.items():
+            np.testing.assert_array_equal(getattr(agg, name), column, err_msg=name)
 
     def test_single_run_has_zero_interval(self):
         traces = self._synthetic_traces()[:1]
@@ -761,11 +813,58 @@ class TestBoundChecks:
         assert report.status == "cannot_check"
 
 
+def reference_aggregates_csv(aggregates) -> str:
+    """aggregates.csv written row by row, each value formatted on its own."""
+    def fmt(x):
+        return "" if math.isnan(x) else f"{x:.17g}"
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    stats = [f"{name}_{part}" for name in STATS for part in ("mean", "ci")]
+    writer.writerow(["method", "index", "time", "n_runs", *stats])
+    for method in sorted(aggregates):
+        agg = aggregates[method]
+        for i in range(agg.index.size):
+            writer.writerow([method, int(agg.index[i]), fmt(float(agg.time[i])),
+                             int(agg.n_runs[i]),
+                             *(fmt(float(getattr(agg, col)[i])) for col in stats)])
+    return buf.getvalue()
+
+
 class TestEmission:
+    def test_aggregates_csv_matches_a_row_by_row_writer(self, tmp_path):
+        # Labels with two params carry a comma; constant_field's f_gap is NaN.
+        cfg = small_config()
+        traces = run_experiment(cfg).traces + run_experiment(small_config(
+            problem={"name": "constant_field", "params": {"c": [1.0, -2.0]}},
+            methods=[{"name": "adam", "params": {"eta": 0.1, "beta1": 0.5}}])).traces
+        aggregates = aggregate_traces(traces)
+        emit(ExperimentResult(traces, aggregates, cfg), tmp_path)
+        text = (tmp_path / "aggregates.csv").read_text()
+        assert text == reference_aggregates_csv(aggregates)
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert {row["method"] for row in rows} == set(aggregates)
+        assert any(row.startswith('"adam(beta1=0.5,eta=0.1)",') for row in text.splitlines())
+        adam = [row for row in rows if row["method"].startswith("adam")]
+        assert adam and all(row["f_gap_mean"] == row["f_gap_ci"] == "" for row in adam)
+        assert tuple(rows[0]) == ("method", *AGGREGATE_DTYPE.names)
+
+    def test_unwritable_output_names_the_directory_or_file(self, tmp_path):
+        result = ExperimentResult(traces=[], aggregates={}, config=small_config())
+        (tmp_path / "file").write_text("")
+        blocked = tmp_path / "file" / "out"
+        message = f"cannot create output directory {blocked}: "
+        with pytest.raises(OSError, match=re.escape(message)):
+            emit(result, blocked)
+        target = tmp_path / "out" / "traces.csv"
+        target.mkdir(parents=True)
+        with pytest.raises(OSError, match=re.escape(f"cannot write {target}: ")):
+            emit(result, tmp_path / "out")
+        with pytest.raises(OSError, match=re.escape(f"cannot write {target}: ")):
+            small_config().to_file(target)
+
     def test_empty_trace_set_header_only(self, tmp_path):
         cfg = small_config()
-        from memgrad.harness import ExperimentResult
-
         result = ExperimentResult(traces=[], aggregates={}, config=cfg)
         paths = emit(result, tmp_path)
         text = (tmp_path / "traces.csv").read_text()
@@ -775,8 +874,6 @@ class TestEmission:
         assert (tmp_path / "aggregates.csv") in paths
 
     def test_three_records_three_rows(self, tmp_path):
-        from memgrad.harness import ExperimentResult
-
         records = make_records([(i, float(i), 0.5 / (i + 1), 1.0, 0.1) for i in range(3)])
         tr = Trace(run_id="m|seed=0", method="m", seed=0, records=records)
         result = ExperimentResult(traces=[tr], aggregates=aggregate_traces([tr]),
