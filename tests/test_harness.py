@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from memgrad import harness, optimizers, problems, theory
 from memgrad.harness import (
+    AGGREGATE_DTYPE,
     METHODS,
     PROBLEMS,
     RECORD_BLOCK,
-    AGGREGATE_DTYPE,
     RECORD_DTYPE,
     STATS,
     ExperimentConfig,
