@@ -15,10 +15,10 @@ start stiff, and each substep is capped at ``SUBSTEP_CAP`` / friction until
 the requested step h is safe.  One Euler-Maruyama loop steps a batch of
 paths, shape (n, d), over that schedule; :func:`integrate_paths`,
 :func:`integrate_trajectory` (a batch of one) and :func:`sample_paths` all
-run it, and :func:`sde_step` shares its update.  For the
-constant-volatility systems reproduced here Euler-Maruyama coincides with
-Milstein.  The deterministic second-moment ODEs and time warp use scipy's
-adaptive DOP853.
+run it.  With constant (state-independent) volatility the diffusion
+coefficient has zero derivative, so for the systems reproduced here
+Euler-Maruyama coincides with Milstein.  The deterministic second-moment
+ODEs and time warp use scipy's adaptive DOP853.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "memory_sde",
     "hb_sde",
     "semi_implicit_euler_step",
-    "sde_step",
     "Schedule",
     "substep_schedule",
     "integrate_paths",
@@ -184,38 +183,24 @@ def semi_implicit_euler_step(state: PhaseState, spec: SdeSpec, h: float) -> Phas
     return PhaseState(x=x_new, v=v_new, t=state.t + h)
 
 
-def _em_update(spec: SdeSpec, x, v, h: float, fric: float, gscale: float, xi):
-    """One Euler-Maruyama update over a substep of size h; x may carry a
-    leading path axis, and xi is the substep's standard-normal draw shaped
-    like x, or None without noise."""
-    x_new, v_new = x + h * v, v + h * (-fric * v - gscale * spec.grad(x))
-    if xi is None:
-        return x_new, v_new
-    sigma = spec.sigma
-    noise = (sigma * math.sqrt(h) * xi if isinstance(sigma, float)
-             else math.sqrt(h) * (xi @ sigma.T))
-    return x_new, v_new - gscale * noise
-
-
-def sde_step(state: PhaseState, spec: SdeSpec, h: float, rng=None) -> PhaseState:
-    """A single Euler-Maruyama step with Gaussian increment sqrt(h) xi.
-
-    With constant (state-independent) volatility the diffusion coefficient
-    has zero derivative, so this update is also the Milstein update.  The
-    caller is responsible for h being stable at this t; the trajectory
-    integrators below handle that automatically.
-    """
-    if h <= 0.0:
-        raise ValueError("h must be > 0")
-    t = state.t
-    if t < spec.eps_start:
-        raise ValueError(f"t = {t} is before the model start {spec.eps_start}")
-    xi = (None if rng is None or spec.is_deterministic()
-          else rng.standard_normal(np.shape(state.x)))
-    x, v = _em_update(spec, state.x, state.v, h, spec.friction(t),
-                      spec.gradient_scale(t), xi)
-    _require_finite(x, v, t + h)
-    return PhaseState(x=x, v=v, t=t + h)
+def _em_update(spec: SdeSpec, x, v, h: float, fric: float, gscale: float, xi) -> None:
+    """One Euler-Maruyama update of the (n, d) states x and v over a substep
+    of size h, in place; xi is the substep's standard-normal block, also
+    overwritten, or None without noise."""
+    dv = -fric * v
+    dv -= gscale * spec.grad(x)
+    dv *= h
+    x += h * v
+    v += dv
+    if xi is not None:
+        sigma = spec.sigma
+        if isinstance(sigma, float):
+            xi *= sigma * math.sqrt(h)
+        else:
+            xi = xi @ sigma.T
+            xi *= math.sqrt(h)
+        xi *= gscale
+        v -= xi
 
 
 class Schedule(NamedTuple):
@@ -253,11 +238,12 @@ def substep_schedule(spec: SdeSpec, targets, h: float) -> Schedule:
 def _euler_maruyama(spec: SdeSpec, sched: Schedule, x0, v0, n: int, noise, record):
     """Step n paths from (x0, v0) over the schedule as (n, d) states.
 
-    ``noise()`` gives each substep's (n, d) standard-normal block; a noisy
-    model needs it.  Every path is checked at every target, and one that is
-    not finite is frozen there.  Returns X and V at the start and at each
-    target flagged in ``record`` (NaN once a path has diverged), and each
-    path's 1-based divergence target, 0 if none.
+    ``noise()`` gives each substep's (n, d) standard-normal block, a new
+    array each call, which the update overwrites; a noisy model needs it.
+    Every path is checked at every target, and one that is not finite is
+    frozen there.  Returns X and V at the start and at each target flagged
+    in ``record`` (NaN once a path has diverged), and each path's 1-based
+    divergence target, 0 if none.
     """
     if spec.is_deterministic():
         noise = None
@@ -277,7 +263,7 @@ def _euler_maruyama(spec: SdeSpec, sched: Schedule, x0, v0, n: int, noise, recor
             for h, fric, gscale in itertools.islice(steps, count):
                 xi = None if noise is None else noise()
                 xi = xi if xi is None or live.size == n else xi[live]
-                x, v = _em_update(spec, x, v, h, fric, gscale, xi)
+                _em_update(spec, x, v, h, fric, gscale, xi)
             if not (np.isfinite(x).all() and np.isfinite(v).all()):
                 ok = np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1)
                 diverged[live[~ok]] = j
@@ -306,10 +292,10 @@ def integrate_paths(spec: SdeSpec, x0, v0, t_end: float, h: float, noise=None,
     """Integrate ``n_paths`` paths together from (x0, v0, eps_start) to t_end.
 
     The grid is eps_start + j h, ending at t_end.  ``noise()`` gives the
-    next substep's (n_paths, d) standard-normal block.  Each path is
-    recorded at every ``record_stride``-th grid point and the last; one
-    whose state is not finite at grid step j stops there and reports j and
-    its time instead of propagating NaNs.
+    next substep's (n_paths, d) standard-normal block, a new array each
+    call.  Each path is recorded at every ``record_stride``-th grid point
+    and the last; one whose state is not finite at grid step j stops there
+    and reports j and its time instead of propagating NaNs.
     """
     if t_end <= spec.eps_start:
         raise ValueError("t_end must exceed eps_start")

@@ -659,11 +659,7 @@ def emit(result: ExperimentResult, out_dir, formats=("csv",)) -> list[Path]:
              for method in sorted(result.aggregates))))
     if "json" in formats:
         runs = [{"run_id": t.run_id, "method": t.method, "seed": t.seed,
-                 "status": t.status_field(),
-                 "records": [dict(zip(RECORD_DTYPE.names,
-                                      (None if v != v else v for v in row)))
-                             for row in t.records.tolist()]}
-                for t in traces]
+                 "status": t.status_field(), "records": t.records} for t in traces]
         written.append(write_json(out_dir / "result.json", {
             "config": result.config.to_dict(),
             "config_sha256": result.config.config_hash(), "traces": runs}))
@@ -702,12 +698,23 @@ def write_csv(path, header, blocks) -> Path | None:
     return path
 
 
+def _record_dicts(records) -> list[dict]:
+    """A record array as a list of {field: value} dicts, NaN as None."""
+    if not isinstance(records, np.ndarray) or records.dtype.names is None:
+        raise TypeError(f"Object of type {type(records).__name__} is not JSON serializable")
+    return [dict(zip(records.dtype.names, (None if v != v else v for v in row)))
+            for row in records.tolist()]
+
+
 def write_json(path, obj) -> Path:
     """Stream obj to path as indented, key-sorted JSON and a newline, and
-    return path.  Streamed: holding all of the indented encoder's chunks
-    dominates peak memory."""
+    return path.  A record array in obj is written as its list of record
+    dicts, built only when the encoder reaches it.  Streamed: holding all
+    of the indented encoder's chunks, or every record's dict, dominates
+    peak memory."""
     with _output(path) as fh:
-        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj))
+        encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_record_dicts)
+        fh.writelines(encoder.iterencode(obj))
         fh.write("\n")
     return path
 

@@ -106,7 +106,11 @@ def stochastic_gradient(
         g = np.asarray(obj.grad(x), dtype=float)
         xi = rng.standard_normal(obj.dim)
         sigma = noise.sigma
-        return g + (sigma * xi if isinstance(sigma, float) else sigma @ xi)
+        try:
+            return g + (sigma * xi if isinstance(sigma, float) else sigma @ xi)
+        except ValueError:
+            raise ValueError(f"noise sigma has shape {np.shape(sigma)}, but objective "
+                             f"{obj.name} has dim {obj.dim}") from None
     if obj.grad_component is None or obj.n_components is None:
         raise ValueError(f"objective {obj.name!r} has no finite-sum components")
     i = int(rng.integers(obj.n_components))

@@ -184,26 +184,22 @@ def hb_sum_expand(betas, eta: float, grads, x0) -> np.ndarray:
 
     From x_{-1} = x_0, the iterate after consuming gradients g_0..g_k is
 
-        x_{k+1} = x_0 - eta * sum_i [ sum_{j<i} (prod_{h=j+1..i} beta_h) g_j + g_i ].
+        x_{k+1} = x_0 - eta * sum_i sum_{j<=i} w[i, j] g_j,
 
-    Each step's weighted average is expanded from scratch (no recursion on
-    the iterates), which makes this the independent oracle for the
-    momentum stepper.  ``betas[i]`` is the momentum used at step i;
-    ``betas[0]`` is irrelevant since the first step has no displacement.
+    with w[i, j] = prod_{h=j+1..i} beta_h (1 on the diagonal), built by one
+    cumulative product down the columns of a triangular matrix.  The sum
+    is expanded from scratch (no recursion on the iterates), which makes
+    this the independent oracle for the momentum stepper.  ``betas[i]`` is
+    the momentum used at step i; ``betas[0]`` is irrelevant since the first
+    step has no displacement.
     """
-    grads = [np.asarray(g, dtype=float) for g in grads]
+    grads = np.asarray(grads, dtype=float)
     betas = np.asarray(betas, dtype=float)
     if len(betas) != len(grads):
         raise ValueError("need one beta per gradient")
-    x = np.asarray(x0, dtype=float).copy()
-    for i in range(len(grads)):
-        update = grads[i].copy()
-        prod = 1.0
-        for j in range(i - 1, -1, -1):
-            prod *= betas[j + 1]
-            update += prod * grads[j]
-        x = x - eta * update
-    return x
+    below = np.tri(len(betas), k=-1, dtype=bool)
+    w = np.tril(np.cumprod(np.where(below, betas[:, None], 1.0), axis=0))
+    return np.asarray(x0, dtype=float) - eta * (w.sum(axis=0) @ grads)
 
 
 def variance_reduction_factor(beta: float, k: int) -> float:

@@ -175,14 +175,11 @@ def _check_noise_free_reduction() -> CheckResult:
     obj = problems.quadratic_diag([2e-2, 5e-3])
     spec = continuum.memory_sde(obj.grad, 2, memory.MemoryFunction.quadratic(),
                                 sigma=0.0)
-    runs = []
-    for seed in (1, 2):
-        res = continuum.integrate_trajectory(
-            spec, [1.0, 1.0], [0.0, 0.0], 2.0, 1e-3,
-            rng=np.random.default_rng(seed), record_stride=200,
-        )
-        runs.append(res.positions)
-    identical = bool(np.array_equal(runs[0], runs[1]))
+    # Seeds 1 and 2 as two rows of one batch, each fed from its own stream.
+    draw = harness._row_noise([np.random.default_rng(seed) for seed in (1, 2)], 2)
+    runs = continuum.integrate_paths(spec, [1.0, 1.0], [0.0, 0.0], 2.0, 1e-3, draw, 2,
+                                     record_stride=200)
+    identical = bool(np.array_equal(runs[0].positions, runs[1].positions))
     return CheckResult(
         "noise-free-sde-reduces-to-ode", identical,
         f"bit-identical across seeds: {identical}",

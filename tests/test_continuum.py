@@ -1,21 +1,25 @@
 """Phase-space integrators, velocity-noise laws, and time warps."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from memgrad import continuum
 from memgrad.continuum import (
     SUBSTEP_CAP,
     DivergenceError,
     PhaseState,
     SdeSpec,
     hb_sde,
+    integrate_paths,
     integrate_trajectory,
     integrate_variance_ode,
     ito_isometry_mc,
     memory_sde,
     nesterov_sde,
     sample_paths,
-    sde_step,
     semi_implicit_euler_step,
     substep_schedule,
     time_warp_tau,
@@ -91,31 +95,107 @@ class TestSemiImplicitEuler:
 
 
 class TestSdeStep:
+    """One Euler-Maruyama substep: an integrate_paths run of one grid step
+    started at the state's time."""
+
     def test_noise_free_equals_explicit_euler(self):
         q = FIG_QUADRATIC
-        mg = memory_sde(q.grad, 2, MemoryFunction.quadratic())
-        state = PhaseState(np.array([1.0, 1.0]), np.array([0.1, -0.2]), t=0.5)
-        h = 1e-3
-        stepped = sde_step(state, mg, h, rng=np.random.default_rng(0))
+        t, h = 0.5, 2.0**-10  # t + h - t == h exactly, so the run takes one substep of h
+        mg = memory_sde(q.grad, 2, MemoryFunction.quadratic(), eps_start=t)
+        x, v = np.array([1.0, 1.0]), np.array([0.1, -0.2])
+        rng = np.random.default_rng(0)
+        [stepped] = integrate_paths(mg, x, v, t + h, h, lambda: rng.standard_normal((1, 2)))
+        assert stepped.times.tolist() == [t, t + h]
         c = 3.0 / 0.5
-        x_manual = state.x + h * state.v
-        v_manual = state.v + h * (-c * state.v - c * q.grad(state.x))
-        np.testing.assert_array_equal(stepped.x, x_manual)
-        np.testing.assert_array_equal(stepped.v, v_manual)
+        x_manual = x + h * v
+        v_manual = v + h * (-c * v - c * q.grad(x))
+        np.testing.assert_array_equal(stepped.positions[-1], x_manual)
+        np.testing.assert_array_equal(stepped.velocities[-1], v_manual)
 
     def test_noise_free_independent_of_seed(self):
         q = FIG_QUADRATIC
-        mg = memory_sde(q.grad, 2, MemoryFunction.quadratic(), sigma=0.0)
-        state = PhaseState(np.array([1.0, 1.0]), np.zeros(2), t=1.0)
-        a = sde_step(state, mg, 1e-3, rng=np.random.default_rng(1))
-        b = sde_step(state, mg, 1e-3, rng=np.random.default_rng(2))
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.v, b.v)
+        mg = memory_sde(q.grad, 2, MemoryFunction.quadratic(), sigma=0.0, eps_start=1.0)
 
-    def test_rejects_time_before_start(self):
-        spec = nesterov_sde(lambda x: x, 1, eps_start=1e-6)
-        with pytest.raises(ValueError):
-            sde_step(PhaseState(np.ones(1), np.zeros(1), t=0.0), spec, 1e-3)
+        def run(seed):
+            rng = np.random.default_rng(seed)
+            return integrate_paths(mg, [1.0, 1.0], np.zeros(2), 1.0 + 1e-3, 1e-3,
+                                   lambda: rng.standard_normal((1, 2)))[0]
+
+        a, b = run(1), run(2)
+        assert a.times.size == b.times.size == 2
+        np.testing.assert_array_equal(a.positions, b.positions)
+        np.testing.assert_array_equal(a.velocities, b.velocities)
+
+
+def out_of_place_paths(spec, sched, x0, v0, n, noise):
+    """X and V of n paths at the start and at every target of the schedule,
+    each substep's update built from new arrays; a path whose state is not
+    finite at a target is dropped from the batch and NaN from there on."""
+    x = np.tile(np.asarray(x0, dtype=float), (n, 1))
+    v = np.tile(np.asarray(v0, dtype=float), (n, 1))
+    xs = np.full((sched.ends.size + 1,) + x.shape, np.nan)
+    vs = np.full_like(xs, np.nan)
+    xs[0], vs[0], live = x, v, np.arange(n)
+    steps = zip(sched.h.tolist(), sched.friction.tolist(), sched.gscale.tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, count in enumerate(np.diff(sched.ends, prepend=0).tolist(), 1):
+            for h, fric, gscale in itertools.islice(steps, count):
+                if noise is None:
+                    kick = 0.0
+                elif isinstance(spec.sigma, float):
+                    kick = spec.sigma * math.sqrt(h) * noise()[live]
+                else:
+                    kick = math.sqrt(h) * (noise()[live] @ spec.sigma.T)
+                x, v = x + h * v, v + h * (-fric * v - gscale * spec.grad(x)) - gscale * kick
+            ok = np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1)
+            live, x, v = live[ok], x[ok], v[ok]
+            xs[j, live], vs[j, live] = x, v
+    return xs, vs
+
+
+def repulsive_cubic(x):
+    return -(x**3)
+
+
+class TestInPlaceUpdate:
+    """The in-place Euler-Maruyama loop against the same loop built from new
+    arrays: every recorded state bit-identical, diverging paths included."""
+
+    @pytest.mark.parametrize("spec, x0, v0, t_end, h, diverges", [
+        (hb_sde(repulsive_cubic, 2, viscosity=0.5, sigma=1.0), [0.3, -0.3], [0.0, 0.0],
+         6.0, 0.05, True),
+        (hb_sde(repulsive_cubic, 2, viscosity=0.5, sigma=[[1.0, 0.0], [0.5, 0.8]]),
+         [0.3, -0.3], [0.0, 0.0], 6.0, 0.05, True),
+        (memory_sde(FIG_QUADRATIC.grad, 2, MemoryFunction.quadratic(), sigma=0.1,
+                    eps_start=1e-3), [1.0, 1.0], [0.0, 0.0], 2.0, 0.01, False),
+        (nesterov_sde(FIG_QUADRATIC.grad, 2, eps_start=1e-3), [1.0, 1.0], [0.5, 0.0],
+         2.0, 0.01, False),
+    ], ids=["scalar-sigma", "matrix-sigma", "stiff-start", "noise-free"])
+    def test_matches_an_out_of_place_loop(self, spec, x0, v0, t_end, h, diverges):
+        n = 64
+        targets = np.arange(1, round((t_end - spec.eps_start) / h) + 1) * h + spec.eps_start
+        sched = substep_schedule(spec, targets.tolist(), h)
+
+        def draw():  # the same stream for both loops
+            rng = np.random.default_rng(5)
+            return None if spec.is_deterministic() else lambda: rng.standard_normal((n, 2))
+
+        xs, vs, diverged = continuum._euler_maruyama(spec, sched, x0, v0, n, draw(),
+                                                     [True] * targets.size)
+        want_xs, want_vs = out_of_place_paths(spec, sched, x0, v0, n, draw())
+        np.testing.assert_array_equal(xs, want_xs)
+        np.testing.assert_array_equal(vs, want_vs)
+        assert (diverged.any() and not diverged.all()) if diverges else not diverged.any()
+
+    def test_leaves_oracle_and_caller_arrays_alone(self):
+        field, x0, v0 = np.array([1.0, -2.0]), np.array([0.5, 0.5]), np.array([0.1, 0.2])
+        spec = memory_sde(lambda x: field, 2, MemoryFunction.quadratic(), sigma=np.eye(2),
+                          eps_start=0.5)  # a gradient scale other than 1
+        rng = np.random.default_rng(0)
+        integrate_paths(spec, x0, v0, 1.0, 0.01, lambda: rng.standard_normal((3, 2)), 3)
+        assert field.tolist() == [1.0, -2.0]
+        assert x0.tolist() == [0.5, 0.5] and v0.tolist() == [0.1, 0.2]
+        assert spec.sigma.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 class TestTrajectories:

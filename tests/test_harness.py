@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -831,6 +832,18 @@ def reference_aggregates_csv(aggregates) -> str:
     return buf.getvalue()
 
 
+def reference_result_json(result) -> str:
+    """result.json with every record's dict built before encoding."""
+    runs = [{"run_id": t.run_id, "method": t.method, "seed": t.seed,
+             "status": t.status_field(),
+             "records": [dict(zip(RECORD_DTYPE.names, (None if v != v else v for v in row)))
+                         for row in t.records.tolist()]}
+            for t in sorted(result.traces, key=lambda t: (t.method, t.seed))]
+    return json.dumps({"config": result.config.to_dict(),
+                       "config_sha256": result.config.config_hash(), "traces": runs},
+                      indent=2, sort_keys=True) + "\n"
+
+
 class TestEmission:
     def test_aggregates_csv_matches_a_row_by_row_writer(self, tmp_path):
         # Labels with two params carry a comma; constant_field's f_gap is NaN.
@@ -925,6 +938,47 @@ class TestEmission:
         payload = json.loads((tmp_path / "result.json").read_text())
         assert payload["config_sha256"] == cfg.config_hash()
         assert payload["config"]["master_seed"] == 7
+
+    def test_result_json_matches_a_dict_building_writer(self, tmp_path):
+        # diverged@k and diverged@0 (no records) runs, and constant_field's NaN f_gap.
+        diverging = run_experiment(small_config(
+            problem={"name": "quadratic_diag", "params": {"coeffs": [50.0, 50.0]}},
+            methods=[{"name": "hb", "params": {"eta": 10.0, "beta": 0.99}},
+                     {"name": "sgd", "params": {"eta": 0.001}}],
+            run={"kind": "optimize", "iterations": 400, "x0": [1.0, 1.0],
+                 "n_seeds": 2, "record_stride": 1}))
+        nan_gap = run_experiment(small_config(
+            problem={"name": "constant_field", "params": {"c": [1.0, -2.0]}},
+            methods=[{"name": "adam", "params": {"eta": 0.1}}]))
+        empty = Trace("hb|seed=9", "hb", 9, make_records([]), "diverged", 0)
+        traces = diverging.traces + nan_gap.traces + [empty]
+        result = ExperimentResult(traces, aggregate_traces(traces), diverging.config)
+        emit(result, tmp_path, formats=("json",))
+        text = (tmp_path / "result.json").read_text()
+        assert text == reference_result_json(result)
+        statuses = [t["status"] for t in json.loads(text)["traces"]]
+        assert "diverged@0" in statuses and "completed" in statuses
+        assert any(re.fullmatch(r"diverged@[1-9]\d*", s) for s in statuses)
+        assert '"records": []' in text and '"f_gap": null' in text
+
+    def test_json_emit_holds_one_trace_of_records_at_a_time(self, tmp_path):
+        # A result of the quartic config's shape: 450 runs of 101 records.
+        cfg = ExperimentConfig.from_file(CONFIG_DIR / "quartic_noise.json")
+        rng = np.random.default_rng(0)
+        index = np.arange(0, cfg.run["iterations"] + 1, cfg.run["record_stride"])
+        traces = []
+        for label, _, _ in cfg.expanded_methods():
+            for seed in range(cfg.run["n_seeds"]):
+                records = make_records([(i, float(i), *rng.random(3)) for i in index.tolist()])
+                traces.append(Trace(f"{label}|seed={seed}", label, seed, records))
+        assert sum(t.records.size for t in traces) == 45_450
+        tracemalloc.start()
+        try:
+            emit(ExperimentResult(traces, {}, cfg), tmp_path, formats=("json",))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_simulate_runs_emit(self, tmp_path):
         cfg = ExperimentConfig.from_dict({

@@ -1,5 +1,7 @@
 """Objectives, declared constants, and gradient-noise models."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,3 +327,10 @@ class TestNoiseModelValidation:
         np.testing.assert_allclose(
             NoiseModel("gaussian", sigma=sigma).variance_per_coordinate(), 0.49
         )
+
+    def test_sigma_of_another_size_named_at_the_first_draw(self):
+        obj = quadratic_diag([1.0, 1.0])
+        message = "noise sigma has shape (3, 3), but objective quadratic_diag(1.0, 1.0) has dim 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            stochastic_gradient(obj, NoiseModel("gaussian", np.eye(3)), np.ones(2),
+                                np.random.default_rng(0))

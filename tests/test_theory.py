@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from memgrad.theory import (
     BoundSpec,
@@ -163,6 +164,40 @@ class TestHbSumExpand:
             step = xs[i + 1] - xs[i]
             expected = -eta * g * (1.0 - beta ** (i + 1)) / (1.0 - beta)
             np.testing.assert_allclose(step, expected, rtol=1e-12)
+
+
+def loop_hb_sum_expand(betas, eta, grads, x0):
+    """The expansion evaluated step by step: each step's weighted sum of the
+    gradients so far, its weights multiplied out from the newest gradient."""
+    x = np.asarray(x0, dtype=float).copy()
+    for i in range(len(grads)):
+        update = np.asarray(grads[i], dtype=float).copy()
+        prod = 1.0
+        for j in range(i - 1, -1, -1):
+            prod *= betas[j + 1]
+            update += prod * grads[j]
+        x = x - eta * update
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hb_sum_expand_matches_a_per_step_loop(data):
+    # |eta g| <= 0.01 keeps |x - x0| <= 61 * 62 / 2 * 0.01 < 20, so 1e-13
+    # is a few dozen ulps of the iterate.
+    k = data.draw(st.integers(0, 60), label="k")
+    betas = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                               min_size=k + 1, max_size=k + 1), label="betas")
+    grads = data.draw(hnp.arrays(float, (k + 1, 2), elements=st.floats(-1.0, 1.0)),
+                      label="grads")
+    eta = data.draw(st.floats(0.0, 0.01), label="eta")
+    x0 = data.draw(hnp.arrays(float, 2, elements=st.floats(-1.0, 1.0)), label="x0")
+    got = hb_sum_expand(betas, eta, grads, x0)
+    want = loop_hb_sum_expand(betas, eta, grads, x0)
+    if k == 0:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 class TestVarianceReductionFactor:
