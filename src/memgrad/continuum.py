@@ -159,11 +159,6 @@ def hb_sde(grad, dim, viscosity, sigma=None, eps_start: float = 1e-12) -> SdeSpe
     return SdeSpec("hb_ode", grad, dim, viscosity, sigma=sigma, eps_start=eps_start)
 
 
-def _require_finite(x, v, t: float) -> None:
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-        raise DivergenceError(f"non-finite state at t = {t}", time=t)
-
-
 def semi_implicit_euler_step(state: PhaseState, spec: SdeSpec, h: float) -> PhaseState:
     """Velocity-first Euler step of the deterministic heavy-ball system:
 
@@ -179,7 +174,8 @@ def semi_implicit_euler_step(state: PhaseState, spec: SdeSpec, h: float) -> Phas
     a = spec.friction(state.t)
     v_new = state.v + h * (-a * state.v - spec.grad(state.x))
     x_new = state.x + h * v_new
-    _require_finite(x_new, v_new, state.t + h)
+    if not (np.isfinite(x_new).all() and np.isfinite(v_new).all()):
+        raise DivergenceError(f"non-finite state at t = {state.t + h}", time=state.t + h)
     return PhaseState(x=x_new, v=v_new, t=state.t + h)
 
 

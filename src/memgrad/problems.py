@@ -22,7 +22,6 @@ __all__ = [
     "constant_field",
     "logistic_synthetic",
     "stochastic_gradient",
-    "volatility_from_covariance",
     "gradient_variance_bound",
 ]
 
@@ -264,20 +263,6 @@ def empirical_gradient_covariance(obj: Objective, x) -> np.ndarray:
     grads = np.stack([obj.grad_component(i, x) for i in range(obj.n_components)])
     centered = grads - grads.mean(axis=0)
     return centered.T @ centered / obj.n_components
-
-
-def volatility_from_covariance(obj: Objective, x, h: float) -> np.ndarray:
-    """Diffusion matrix sqrt(h * Sigma(x)) linking minibatch noise to an SDE.
-
-    Sigma(x) is the empirical covariance of the component gradients at x
-    and the principal square root is taken eigenvalue-wise.
-    """
-    if h <= 0.0:
-        raise ValueError("stepsize h must be > 0")
-    cov = empirical_gradient_covariance(obj, x)
-    vals, vecs = np.linalg.eigh(h * cov)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
 
 
 def gradient_variance_bound(obj: Objective, xs) -> tuple[float, np.ndarray]:

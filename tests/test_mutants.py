@@ -1,8 +1,8 @@
 """Wrong steppers and integrators that the ``verify`` battery must catch.
 
-Each mutant replaces one module attribute; the battery looks functions up
-on their module at each use, so it runs the mutant.  Each entry names the
-check that fails on it.
+Each mutant replaces one module or class attribute; the battery looks
+functions up on their module at each use, so it runs the mutant.  Each
+entry names the check that fails on it.
 """
 
 import pytest
@@ -28,6 +28,16 @@ def explicit_euler_step(state, spec, h):
     return continuum.PhaseState(x=state.x + h * state.v, v=v_new, t=state.t + h)
 
 
+def without_gradient_scale(spec, t):
+    """mg's drift and noise lose their memory coefficient c(t)."""
+    return 1.0
+
+
+def never_deterministic(spec):
+    """Noise is drawn even at sigma = 0."""
+    return False
+
+
 MUTANTS = {
     "hb-beta-zero": (optimizers, "hb_step", hb_without_momentum,
                      "momentum-sum-equivalence"),
@@ -35,6 +45,10 @@ MUTANTS = {
                             "momentum-sum-equivalence"),
     "explicit-euler": (continuum, "semi_implicit_euler_step", explicit_euler_step,
                        "semi-implicit-correspondence"),
+    "mg-without-gradient-scale": (continuum.SdeSpec, "gradient_scale",
+                                  without_gradient_scale, "noise-free-sde-reduces-to-ode"),
+    "noise-drawn-at-zero-sigma": (continuum.SdeSpec, "is_deterministic",
+                                  never_deterministic, "noise-free-sde-reduces-to-ode"),
 }
 
 

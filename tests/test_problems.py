@@ -19,7 +19,6 @@ from memgrad.problems import (
     quadratic_diag,
     quartic_2d,
     stochastic_gradient,
-    volatility_from_covariance,
 )
 
 ALL_OBJECTIVES = [
@@ -291,16 +290,6 @@ class TestStochasticGradient:
 
 
 class TestCovarianceHelpers:
-    def test_volatility_squares_back(self):
-        obj = logistic_synthetic(n=30, dim=3, seed=9, l2=0.01)
-        x = np.array([0.2, 0.1, -0.3])
-        h = 0.01
-        vol = volatility_from_covariance(obj, x, h)
-        np.testing.assert_allclose(vol, vol.T, atol=1e-12)
-        np.testing.assert_allclose(
-            vol @ vol.T, h * empirical_gradient_covariance(obj, x), atol=1e-12
-        )
-
     def test_gradient_variance_bound(self):
         obj = logistic_synthetic(n=30, dim=3, seed=9, l2=0.01)
         rng = np.random.default_rng(13)

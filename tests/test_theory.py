@@ -16,6 +16,7 @@ from memgrad.theory import (
     memsgd_rate_bound,
     optimal_viscosity,
     poly_continuous_bound,
+    poly_memory_ode_series,
     strongly_convex_bound,
     variance_reduction_factor,
 )
@@ -164,6 +165,37 @@ class TestHbSumExpand:
             step = xs[i + 1] - xs[i]
             expected = -eta * g * (1.0 - beta ** (i + 1)) / (1.0 - beta)
             np.testing.assert_allclose(step, expected, rtol=1e-12)
+
+
+class TestPolyMemoryOdeSeries:
+    def test_matches_the_bessel_form(self):
+        # The series is x0 * 0F1(; p; -p lam t), a Bessel function of order p - 1.
+        from scipy.special import hyp0f1
+
+        p, lam, x0 = 3.0, np.array([4e-2, 1e-2, 2.5]), np.array([1.0, -2.0, 0.5])
+        t = np.linspace(0.0, 4.0, 81)
+        got = poly_memory_ode_series(p, lam, t, x0)
+        np.testing.assert_allclose(got, x0 * hyp0f1(p, -p * lam * t[:, None]),
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_solves_the_memory_ode(self):
+        # X'' + (p/t) X' + (p lam/t) X = 0 by central differences, X(0) = x0.
+        p, lam, x0, dt = 2.0, np.array([0.3, 1.5]), np.array([1.0, 1.0]), 1e-4
+        t = np.array([0.0, 0.5 - dt, 0.5, 0.5 + dt])
+        x = poly_memory_ode_series(p, lam, t, x0)
+        np.testing.assert_array_equal(x[0], x0)
+        d1 = (x[3] - x[1]) / (2 * dt)
+        d2 = (x[3] - 2 * x[2] + x[1]) / dt**2
+        np.testing.assert_allclose(d2 + p / 0.5 * d1 + p * lam / 0.5 * x[2], 0.0,
+                                   atol=1e-6)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            poly_memory_ode_series(0.0, [1.0], [1.0], [1.0])
+        with pytest.raises(ValueError):
+            poly_memory_ode_series(3.0, [np.inf], [1.0], [1.0])
+        with pytest.raises(ValueError):
+            poly_memory_ode_series(3.0, [1.0], [40.0], [1.0])
 
 
 def loop_hb_sum_expand(betas, eta, grads, x0):
