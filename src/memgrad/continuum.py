@@ -23,6 +23,7 @@ ODEs and time warp use scipy's adaptive DOP853.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -220,9 +221,11 @@ def substep_schedule(spec: SdeSpec, targets, h: float) -> Schedule:
     t, steps, ends, times = spec.eps_start, [], [], []
     for target in targets:
         while t < target:
-            fric = spec.friction(t)
+            gscale = spec.gradient_scale(t)
+            # mg's friction is its gradient scale, the memory coefficient c(t).
+            fric = gscale if spec.model == "mg" else spec.friction(t)
             h_loc = min(target - t, h, SUBSTEP_CAP / fric if fric > 0.0 else h)
-            steps.append((t, h_loc, fric, spec.gradient_scale(t)))
+            steps.append((t, h_loc, fric, gscale))
             # A remainder below float resolution snaps to the target.
             t = t + h_loc if t + h_loc > t else target
         ends.append(len(steps))
@@ -314,7 +317,7 @@ def integrate_paths(spec: SdeSpec, x0, v0, t_end: float, h: float, noise=None,
 def integrate_trajectory(spec: SdeSpec, x0, v0, t_end: float, h: float, rng=None,
                          record_stride: int = 1) -> TrajectoryResult:
     """:func:`integrate_paths` for one path, drawing its noise from ``rng``."""
-    noise = None if rng is None else (lambda: rng.standard_normal((1, np.size(x0))))
+    noise = None if rng is None else functools.partial(rng.standard_normal, (1, np.size(x0)))
     return integrate_paths(spec, x0, v0, t_end, h, noise, 1, record_stride)[0]
 
 
@@ -331,7 +334,8 @@ def sample_paths(spec: SdeSpec, x0, v0, record_times, h: float, n_paths: int,
     record_times = np.sort(np.asarray(record_times, dtype=float))
     if record_times[0] <= spec.eps_start:
         raise ValueError("record times must exceed eps_start")
-    noise = None if rng is None else (lambda: rng.standard_normal((n_paths, np.size(x0))))
+    noise = None if rng is None else functools.partial(rng.standard_normal,
+                                                       (n_paths, np.size(x0)))
     sched = substep_schedule(spec, record_times.tolist(), h)
     xs, vs, diverged = _euler_maruyama(spec, sched, x0, v0, n_paths, noise,
                                        [True] * len(record_times))

@@ -11,6 +11,7 @@ correction (exponential forgetting).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,14 +204,22 @@ def weight_normalization(mf: MemoryFunction, t: float) -> float:
     large t).  The result is 1 up to quadrature error and the
     O(m(eps)/m(t)) truncation from the eps start.
     """
-    eps, half = NORMALIZATION_EPS, NORMALIZATION_PANELS // 2
-    if not (t > eps):
-        raise ValueError(f"need t > {eps}, got {t}")
-    nodes = np.union1d(np.geomspace(eps, t, half + 1), np.linspace(eps, t, half + 1))
+    if not (t > NORMALIZATION_EPS):
+        raise ValueError(f"need t > {NORMALIZATION_EPS}, got {t}")
+    nodes = _normalization_mesh(float(t))
     a, b = nodes[:-1], nodes[1:]
-    mid = 0.5 * (a + b)
-    integral = np.sum((b - a) / 6.0 * (mf.derivative(a) + 4.0 * mf.derivative(mid) + mf.derivative(b)))
+    dm = mf.derivative(nodes)
+    integral = np.sum((b - a) / 6.0 * (dm[:-1] + 4.0 * mf.derivative(0.5 * (a + b)) + dm[1:]))
     return float(integral / mf.value(t))
+
+
+@functools.lru_cache(maxsize=8)
+def _normalization_mesh(t: float) -> np.ndarray:
+    """The read-only quadrature nodes of :func:`weight_normalization` up to t."""
+    eps, half = NORMALIZATION_EPS, NORMALIZATION_PANELS // 2
+    nodes = np.union1d(np.geomspace(eps, t, half + 1), np.linspace(eps, t, half + 1))
+    nodes.flags.writeable = False
+    return nodes
 
 
 def validate_memsgd_degree(p: float, allow_small_p: bool) -> None:

@@ -109,7 +109,11 @@ def exp_cesaro_bound(
     return (f_gap0 + 0.5 * alpha * dist2) / (alpha * tau * t) + 0.5 * d * sigma2 / tau
 
 
-def gamma_star(alpha: float, tau: float, mu_tilde: float) -> tuple[float, float]:
+# gamma_star's floor on its rounded discriminant q.
+_DISCRIMINANT_FLOOR = -2e-15
+
+
+def gamma_star(alpha, tau, mu_tilde):
     """Optimal exponential decay rate under quadratic growth.
 
     Returns (gamma, alpha_max) with alpha_max = (tau+2)/2 * sqrt(mu_tilde)
@@ -122,22 +126,29 @@ def gamma_star(alpha: float, tau: float, mu_tilde: float) -> tuple[float, float]
     tau <= 2).  The second is evaluated as alpha tau r^2 / (1 + sqrt(q)),
     r = sqrt(mu_tilde)/alpha, q = 1 - 2 tau r^2, which neither overflows nor
     cancels; q >= ((tau-2)/(tau+2))^2 there, so a q below a few ulps of
-    rounding is a ValueError.
+    rounding is a ValueError.  The arguments broadcast; each branch is
+    evaluated on its own elements only, and scalars give floats.
     """
-    if alpha <= 0.0 or tau <= 0.0 or mu_tilde <= 0.0:
+    alpha, tau, mu_tilde = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                                 for v in (alpha, tau, mu_tilde)))
+    if (alpha <= 0.0).any() or (tau <= 0.0).any() or (mu_tilde <= 0.0).any():
         raise ValueError("need alpha, tau, mu_tilde > 0")
-    alpha_max = 0.5 * (tau + 2.0) * math.sqrt(mu_tilde)
-    if alpha <= alpha_max:
-        gamma = tau * alpha / (tau + 2.0)
-    else:
-        r = math.sqrt(mu_tilde) / alpha
-        tau_r2 = tau * r * r
+    gamma = np.empty(alpha.shape)
+    # Overflow and inf arithmetic stay quiet, as they do on Python floats.
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha_max = 0.5 * (tau + 2.0) * np.sqrt(mu_tilde)
+        lower = alpha <= alpha_max
+        gamma[lower] = tau[lower] * alpha[lower] / (tau[lower] + 2.0)
+        a, t, m = alpha[~lower], tau[~lower], mu_tilde[~lower]
+        r = np.sqrt(m) / a
+        tau_r2 = t * r * r
         q = 1.0 - 2.0 * tau_r2
-        if q < -2e-15:
-            raise ValueError(f"negative discriminant at alpha={alpha!r}, "
-                             f"tau={tau!r}, mu_tilde={mu_tilde!r}")
-        gamma = alpha * tau_r2 / (1.0 + math.sqrt(max(q, 0.0)))
-    return gamma, alpha_max
+        if (q < _DISCRIMINANT_FLOOR).any():
+            i = np.argmax(q < _DISCRIMINANT_FLOOR)
+            raise ValueError(f"negative discriminant at alpha={float(a[i])!r}, "
+                             f"tau={float(t[i])!r}, mu_tilde={float(m[i])!r}")
+        gamma[~lower] = a * tau_r2 / (1.0 + np.sqrt(np.maximum(q, 0.0)))
+    return (float(gamma), float(alpha_max)) if gamma.ndim == 0 else (gamma, alpha_max)
 
 
 def optimal_viscosity(kind: str, mu: float) -> float:

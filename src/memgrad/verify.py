@@ -69,10 +69,8 @@ def _check_continuous_normalization() -> CheckResult:
     mf = memory.MemoryFunction
     kinds = [mf.decaying(), mf.constant(), mf.square_root(), mf.linear(), mf.quadratic(),
              mf.exponential(1.0), mf.super_exponential(1.2)]
-    worst = 0.0
-    for mf in kinds:
-        for t in (0.1, 1.0, 10.0, 100.0):
-            worst = max(worst, abs(memory.weight_normalization(mf, t) - 1.0))
+    worst = max(abs(memory.weight_normalization(kind, t) - 1.0)
+                for kind in kinds for t in (0.1, 1.0, 10.0, 100.0))
     return CheckResult(
         "continuous-weight-normalization", worst < 1e-8,
         f"max quadrature defect = {worst:.3e}",
@@ -101,34 +99,35 @@ def _check_hb_sum_equivalence() -> CheckResult:
 
 
 def _check_semi_implicit() -> CheckResult:
+    """Semi-implicit Euler from v = 0 walks the HB recursion with x_{-1} = x_0:
+    x_{k+1} - (x_k + beta (x_k - x_{k-1}) - eta grad f(x_k)) vanishes at every k."""
     obj = problems.quadratic_diag([2e-2, 5e-3])
     worst = 0.0
     for h, alpha in ((0.1, 1.0), (0.01, 2.0)):
         spec = continuum.hb_sde(obj.grad, 2, viscosity=alpha)
         ps = continuum.PhaseState(np.array([1.0, 1.0]), np.zeros(2), t=0.0)
-        st = optimizers.OptimizerState.initial(np.array([1.0, 1.0]))
-        pairs = []
+        xs = [ps.x, ps.x]
         for _ in range(1000):
             ps = continuum.semi_implicit_euler_step(ps, spec, h)
-            st = optimizers.hb_step(st, obj.grad(st.x), eta=h * h, beta=1.0 - h * alpha)
-            pairs.append((ps.x, st.x))
-        worst = max(worst, float(np.max(np.abs(np.diff(np.array(pairs), axis=1)))))
+            xs.append(ps.x)
+        prev, x, nxt = np.array(xs[:-2]), np.array(xs[1:-1]), np.array(xs[2:])
+        residual = nxt - (x + (1.0 - h * alpha) * (x - prev) - h * h * obj.grad(x))
+        worst = max(worst, float(np.max(np.abs(residual))))
     return CheckResult(
         "semi-implicit-correspondence", worst < 1e-12,
-        f"max position gap = {worst:.3e} over 1000 steps",
+        f"max HB recursion residual = {worst:.3e} over 1000 steps",
     )
 
 
-def _check_gamma_continuity(draws: int = 1000) -> CheckResult:
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(draws):
-        tau = rng.uniform(0.05, 1.0)
-        mu_tilde = rng.uniform(1e-3, 50.0)
-        _, alpha_max = theory.gamma_star(1.0, tau, mu_tilde)
-        lo, _ = theory.gamma_star(alpha_max, tau, mu_tilde)
-        hi = 0.5 * (alpha_max - math.sqrt(max(alpha_max**2 - 2 * mu_tilde * tau, 0.0)))
-        worst = max(worst, abs(lo - hi) / max(1.0, lo))
+def _check_gamma_continuity() -> CheckResult:
+    """gamma_star at alpha_max against the upper branch written out, and
+    against gamma_star one ulp above alpha_max."""
+    tau, mu_tilde = np.random.default_rng(7).uniform([0.05, 1e-3], [1.0, 50.0], (1000, 2)).T
+    _, alpha_max = theory.gamma_star(1.0, tau, mu_tilde)
+    lo, _ = theory.gamma_star(alpha_max, tau, mu_tilde)
+    above, _ = theory.gamma_star(np.nextafter(alpha_max, np.inf), tau, mu_tilde)
+    hi = 0.5 * (alpha_max - np.sqrt(np.maximum(alpha_max**2 - 2 * mu_tilde * tau, 0.0)))
+    worst = float(np.max(np.maximum(abs(lo - hi), abs(above - lo)) / np.maximum(1.0, lo)))
     mu = 0.42
     exact = (
         theory.optimal_viscosity("mg", mu) == 9.0 * mu / 4.0
@@ -136,7 +135,8 @@ def _check_gamma_continuity(draws: int = 1000) -> CheckResult:
     )
     return CheckResult(
         "decay-rate-branch-continuity", worst < 1e-12 and exact,
-        f"max branch gap = {worst:.3e}; closed-form split points exact: {exact}",
+        f"max branch gap = {worst:.3e} at and one ulp above alpha_max; "
+        f"closed-form split points exact: {exact}",
     )
 
 

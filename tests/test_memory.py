@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memgrad import memory
 from memgrad.memory import (
     MemoryFunction,
     UnsupportedKindError,
@@ -127,6 +128,27 @@ class TestContinuousWeights:
             for t in (0.1, 1.0, 10.0, 100.0):
                 total = weight_normalization(mf, t)
                 assert abs(total - 1.0) < 1e-8, (mf, t, total)
+
+
+def per_call_normalization(mf, t):
+    """weight_normalization with its mesh built afresh and m' taken at a, mid, b."""
+    eps, half = memory.NORMALIZATION_EPS, memory.NORMALIZATION_PANELS // 2
+    nodes = np.union1d(np.geomspace(eps, t, half + 1), np.linspace(eps, t, half + 1))
+    a, b = nodes[:-1], nodes[1:]
+    mid = 0.5 * (a + b)
+    integral = np.sum((b - a) / 6.0 * (mf.derivative(a) + 4.0 * mf.derivative(mid)
+                                       + mf.derivative(b)))
+    return float(integral / mf.value(t))
+
+
+def test_cached_mesh_normalization_matches_a_per_call_mesh():
+    # Every kind that verify and criterion 1 integrate, at their four times,
+    # each t reused across kinds from the mesh cache.
+    for mf in ALL_CONTINUOUS:
+        for t in (0.1, 1.0, 10.0, 100.0):
+            assert weight_normalization(mf, t) == per_call_normalization(mf, t), (mf, t)
+    with pytest.raises(ValueError, match="read-only"):
+        memory._normalization_mesh(1.0)[0] = 0.5
 
 
 class TestMemsgdWeights:

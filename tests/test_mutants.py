@@ -5,12 +5,14 @@ functions up on their module at each use, so it runs the mutant.  Each
 entry names the check that fails on it.
 """
 
+import numpy as np
 import pytest
 
-from memgrad import continuum, optimizers
+from memgrad import continuum, optimizers, theory
 from memgrad.verify import run_verification
 
 HB_STEP = optimizers.hb_step
+GAMMA_STAR = theory.gamma_star
 
 
 def hb_without_momentum(state, g, eta, beta):
@@ -28,8 +30,23 @@ def explicit_euler_step(state, spec, h):
     return continuum.PhaseState(x=state.x + h * state.v, v=v_new, t=state.t + h)
 
 
+def position_first_euler_step(state, spec, h):
+    """Position advanced first, velocity from the gradient at the new position:
+    it walks the HB recursion from k = 1 on, but its first step stands still."""
+    a = spec.friction(state.t)
+    x_new = state.x + h * state.v
+    v_new = state.v + h * (-a * state.v - spec.grad(x_new))
+    return continuum.PhaseState(x=x_new, v=v_new, t=state.t + h)
+
+
+def gamma_star_upper_branch_off_by_1e9(alpha, tau, mu_tilde):
+    gamma, alpha_max = GAMMA_STAR(alpha, tau, mu_tilde)
+    return np.where(alpha > alpha_max, gamma * (1.0 + 1e-9), gamma), alpha_max
+
+
 def without_gradient_scale(spec, t):
-    """mg's drift and noise lose their memory coefficient c(t)."""
+    """mg loses its memory coefficient c(t): its gradient, noise and (through
+    the substep schedule) friction coefficients all become 1."""
     return 1.0
 
 
@@ -45,6 +62,11 @@ MUTANTS = {
                             "momentum-sum-equivalence"),
     "explicit-euler": (continuum, "semi_implicit_euler_step", explicit_euler_step,
                        "semi-implicit-correspondence"),
+    "position-first-euler": (continuum, "semi_implicit_euler_step",
+                             position_first_euler_step, "semi-implicit-correspondence"),
+    "gamma-upper-branch-off-by-1e-9": (theory, "gamma_star",
+                                       gamma_star_upper_branch_off_by_1e9,
+                                       "decay-rate-branch-continuity"),
     "mg-without-gradient-scale": (continuum.SdeSpec, "gradient_scale",
                                   without_gradient_scale, "noise-free-sde-reduces-to-ode"),
     "noise-drawn-at-zero-sigma": (continuum.SdeSpec, "is_deterministic",

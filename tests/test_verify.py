@@ -26,6 +26,14 @@ def test_batched_momentum_rows_match_per_trial_loops():
         np.testing.assert_array_equal(batch.x[r], state.x)
 
 
+def test_gamma_draw_block_matches_scalar_draws():
+    # decay-rate-branch-continuity draws its (tau, mu_tilde) pairs as one block.
+    rng = np.random.default_rng(7)
+    scalar = [(rng.uniform(0.05, 1.0), rng.uniform(1e-3, 50.0)) for _ in range(1000)]
+    block = np.random.default_rng(7).uniform([0.05, 1e-3], [1.0, 50.0], (1000, 2))
+    np.testing.assert_array_equal(block, scalar)
+
+
 def noise_free_gap(h):
     """The noise-free check's path against the series solution, at step h."""
     coeffs = np.array([2e-2, 5e-3])
