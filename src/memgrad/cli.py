@@ -71,10 +71,8 @@ def _run_config_command(args, expected_kind: str) -> int:
     n_div = sum(1 for t in result.traces if t.status != "completed")
     print(f"{len(result.traces)} runs ({n_div} diverged)")
     failures = 0
-    for entry in cfg.bounds:
-        spec = theory.BoundSpec(entry["kind"], entry.get("params", {}))
-        report = harness.check_bounds(result.traces, spec, method=entry["method"])
-        print(f"bound {entry['kind']} on {entry['method']}: {report.status}"
+    for report in harness.check_config_bounds(cfg, result.traces):
+        print(f"bound {report.kind} on {report.method}: {report.status}"
               f" ({report.summary()})")
         if report.status == "violations":
             failures += 1

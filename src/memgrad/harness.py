@@ -36,6 +36,7 @@ __all__ = [
     "BoundCheckReport",
     "run_experiment",
     "check_bounds",
+    "check_config_bounds",
     "emit",
     "write_csv",
     "write_json",
@@ -96,16 +97,15 @@ EPS_START = 1e-12
 class ExperimentConfig:
     """Declarative description of a batch of runs.
 
-    ``SECTION_KEYS`` declares the keys of each section; ``tolerances`` is
-    free-form and echoed into the hash.  A ``methods`` entry's ``grid`` maps
-    params to value lists and expands to one method per combination.
+    ``SECTION_KEYS`` declares the keys of each section.  A ``methods``
+    entry's ``grid`` maps params to value lists and expands to one method
+    per combination.
     """
 
     problem: dict
     methods: list
     run: dict
     output: dict = field(default_factory=lambda: {"directory": "out", "formats": ["csv"]})
-    tolerances: dict = field(default_factory=dict)
     bounds: list = field(default_factory=list)
     master_seed: int = 0
 
@@ -633,6 +633,14 @@ def check_bounds(traces: list[Trace], bound: BoundSpec, method: str) -> BoundChe
         n_violations=n_violations, max_relative_excess=max_excess,
         first_violation_index=first_violation,
     )
+
+
+def check_config_bounds(config: ExperimentConfig,
+                        traces: list[Trace]) -> list[BoundCheckReport]:
+    """Each bound the config declares, checked against its method's traces."""
+    return [check_bounds(traces, BoundSpec(entry["kind"], entry.get("params", {})),
+                         method=entry["method"])
+            for entry in config.bounds]
 
 
 # ----------------------------------------------------------------------

@@ -80,14 +80,12 @@ def _next_state(state: OptimizerState, x_new, m1=None, m2=None) -> OptimizerStat
                           state.m2 if m2 is None else m2)
 
 
-def _adaptive_step(state: OptimizerState, eta, mhat, v, eps, eps_outside_root,
+def _adaptive_step(state: OptimizerState, eta, mhat, v, eps,
                    m1=None, m2=None) -> OptimizerState:
-    """x' = x - eta mhat / sqrt(v + eps), or / (sqrt(v) + eps) with
-    ``eps_outside_root``."""
+    """x' = x - eta mhat / sqrt(v + eps)."""
     if eta <= 0.0 or eps <= 0.0:
         raise ValueError("eta and eps must be > 0")
-    denom = np.sqrt(v) + eps if eps_outside_root else np.sqrt(v + eps)
-    return _next_state(state, state.x - eta * mhat / denom, m1=m1, m2=m2)
+    return _next_state(state, state.x - eta * mhat / np.sqrt(v + eps), m1=m1, m2=m2)
 
 
 def sgd_step(state: OptimizerState, g, eta: float) -> OptimizerState:
@@ -149,35 +147,23 @@ def memsgd_p_step(
     return _next_state(state, x_new)
 
 
-def unbiased_hb_step(
-    state: OptimizerState, g, eta: float, beta: float, mode: str = "exact"
-) -> OptimizerState:
+def unbiased_hb_step(state: OptimizerState, g, eta: float, beta: float) -> OptimizerState:
     """Bias-corrected momentum: the geometric gradient average renormalized
     to unit mass before stepping.
 
-    ``exact`` keeps the running average m1 and divides by its weight mass
-    1 - beta**(k+1), so a constant gradient field yields the update -eta g
-    at every step.  ``asymptotic`` uses the large-k limit
-
-        x' = x + beta (x - x_prev) - eta (1-beta) g,
-
-    i.e. classical momentum with learning rate (1-beta) eta; the two modes
-    agree once beta**(k+1) is negligible.
+    The running average m1 is divided by its weight mass 1 - beta**(k+1),
+    so a constant gradient field yields the update -eta g at every step.
+    Once beta**(k+1) is negligible this is :func:`hb_step` with learning
+    rate (1-beta) eta.
     """
     g = _checked_gradient(state, g)
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if mode not in ("exact", "asymptotic"):
-        raise ValueError(f"unknown mode {mode!r}")
     m1 = beta * state.m1 + (1.0 - beta) * g
-    if mode == "exact":
-        corrected = m1 / (1.0 - beta ** (state.k + 1))
-        x_new = state.x - eta * corrected
-    else:
-        x_new = state.x + beta * (state.x - state.x_prev) - eta * (1.0 - beta) * g
-    return _next_state(state, x_new, m1=m1)
+    corrected = m1 / (1.0 - beta ** (state.k + 1))
+    return _next_state(state, state.x - eta * corrected, m1=m1)
 
 
 def adam_step(
@@ -187,16 +173,12 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-    eps_outside_root: bool = False,
 ) -> OptimizerState:
     """One Adam step with both bias corrections.
 
         m' = beta1 m + (1-beta1) g          mhat = m'/(1 - beta1**(k+1))
         v' = beta2 v + (1-beta2) g*g        vhat = v'/(1 - beta2**(k+1))
         x' = x - eta mhat / sqrt(vhat + eps)
-
-    The regularizer sits inside the square root by default; set
-    ``eps_outside_root`` for the sqrt(vhat) + eps convention.
     """
     g = _checked_gradient(state, g)
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
@@ -206,7 +188,7 @@ def adam_step(
     m2 = beta2 * state.m2 + (1.0 - beta2) * g * g
     mhat = m1 / (1.0 - beta1 ** (k + 1))
     vhat = m2 / (1.0 - beta2 ** (k + 1))
-    return _adaptive_step(state, eta, mhat, vhat, eps, eps_outside_root, m1, m2)
+    return _adaptive_step(state, eta, mhat, vhat, eps, m1, m2)
 
 
 def adagrad_step(state: OptimizerState, g, eta: float, eps: float = 1e-8) -> OptimizerState:
@@ -216,7 +198,7 @@ def adagrad_step(state: OptimizerState, g, eta: float, eps: float = 1e-8) -> Opt
     """
     g = _checked_gradient(state, g)
     m2 = state.m2 + g * g
-    return _adaptive_step(state, eta, g, m2, eps, False, m2=m2)
+    return _adaptive_step(state, eta, g, m2, eps, m2=m2)
 
 
 def adamnc_step(
@@ -225,7 +207,6 @@ def adamnc_step(
     eta: float,
     beta1: float = 0.9,
     eps: float = 1e-8,
-    eps_outside_root: bool = False,
 ) -> OptimizerState:
     """Adam with iteration-dependent second-moment decay beta2 = k/(k+1).
 
@@ -242,7 +223,7 @@ def adamnc_step(
     m1 = beta1 * state.m1 + (1.0 - beta1) * g
     m2 = beta2 * state.m2 + (1.0 - beta2) * g * g
     mhat = m1 / (1.0 - beta1 ** (k + 1))
-    return _adaptive_step(state, eta, mhat, m2, eps, eps_outside_root, m1, m2)
+    return _adaptive_step(state, eta, mhat, m2, eps, m1, m2)
 
 
 def polyadam_step(
@@ -254,7 +235,6 @@ def polyadam_step(
     p2: float,
     eps: float = 1e-8,
     allow_small_p: bool = False,
-    eps_outside_root: bool = False,
 ) -> OptimizerState:
     """Adam with polynomial memory of the squared gradients.
 
@@ -276,4 +256,4 @@ def polyadam_step(
     m1 = beta1 * state.m1 + (1.0 - beta1) * g
     m2 = (k / (k + p2)) * state.m2 + (p2 / (k + p2)) * g * g
     mhat = m1 / (1.0 - beta1 ** (k + 1))
-    return _adaptive_step(state, eta, mhat, m2, eps, eps_outside_root, m1, m2)
+    return _adaptive_step(state, eta, mhat, m2, eps, m1, m2)

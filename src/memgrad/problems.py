@@ -82,17 +82,6 @@ class NoiseModel:
                                  f"got {self.sigma!r}")
             object.__setattr__(self, "sigma", float(sigma) if sigma.ndim == 0 else sigma)
 
-    def variance_per_coordinate(self) -> float:
-        """Largest per-coordinate noise variance, for bound parameters."""
-        if self.kind == "none":
-            return 0.0
-        if self.kind == "gaussian":
-            sigma = self.sigma
-            if isinstance(sigma, float):
-                return sigma**2
-            return float(np.max(np.linalg.eigvalsh(sigma @ sigma.T)))
-        raise ValueError("finite-sum variance must be estimated from the problem")
-
 
 def stochastic_gradient(
     obj: Objective, noise: NoiseModel, x, rng: np.random.Generator
@@ -105,11 +94,7 @@ def stochastic_gradient(
         g = np.asarray(obj.grad(x), dtype=float)
         xi = rng.standard_normal(obj.dim)
         sigma = noise.sigma
-        try:
-            return g + (sigma * xi if isinstance(sigma, float) else sigma @ xi)
-        except ValueError:
-            raise ValueError(f"noise sigma has shape {np.shape(sigma)}, but objective "
-                             f"{obj.name} has dim {obj.dim}") from None
+        return g + (sigma * xi if isinstance(sigma, float) else sigma @ xi)
     if obj.grad_component is None or obj.n_components is None:
         raise ValueError(f"objective {obj.name!r} has no finite-sum components")
     i = int(rng.integers(obj.n_components))

@@ -2,10 +2,10 @@
 
 Each check is cheap enough to run routinely; the heavyweight statistical
 reproductions live in the acceptance test suite.  A check returns a
-pass/fail flag plus the worst observed value, and the battery ends with a
+pass/fail flag plus the worst observed value.  The battery ends with a
 configured experiment batch, which must run every (method, seed) without
-divergence, and whose polynomial-forgetting runs are checked against their
-closed-form rate bound.
+divergence, and with each closed-form bound the config declares, checked
+against its method's runs as ``optimize`` checks it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ class CheckResult:
 
 def default_verify_config() -> harness.ExperimentConfig:
     """Built-in battery config: the reference ill-conditioned quadratic
-    under mild Gaussian noise, one long-memory method per family."""
+    under mild Gaussian noise, one long-memory method per family, and
+    MemSGD's rate bound at eta = (p-1)/(pL) with varsigma^2 = sigma^2."""
     return harness.ExperimentConfig(
         problem={
             "name": "quadratic_diag",
@@ -50,6 +51,11 @@ def default_verify_config() -> harness.ExperimentConfig:
             "record_stride": 10,
         },
         output={"directory": "verify_out", "formats": ["csv", "json"]},
+        bounds=[{
+            "kind": "memsgd_discrete",
+            "method": "memsgd(eta=12.5,p=2.0)",
+            "params": {"p": 2.0, "eta": 12.5, "d": 2, "dist2": 2.0, "varsigma2": 0.1**2},
+        }],
         master_seed=0,
     )
 
@@ -184,32 +190,6 @@ def _check_noise_free_reduction() -> CheckResult:
     )
 
 
-def _auto_bounds(config: harness.ExperimentConfig, obj, noise):
-    """Rate-bound specs for every polynomial-forgetting method that runs
-    inside the bound's stepsize condition."""
-    out = []
-    if obj.f_star is None or obj.x_star is None or obj.L is None:
-        return out
-    x0 = np.asarray(config.run["x0"], dtype=float)
-    dist2 = float(np.sum((x0 - obj.x_star) ** 2))
-    try:
-        varsigma2 = noise.variance_per_coordinate()
-    except ValueError:
-        varsigma2, _ = problems.gradient_variance_bound(obj, [x0, 0.5 * x0])
-    for label, name, params in config.expanded_methods():
-        if name != "memsgd":
-            continue
-        p, eta = float(params["p"]), float(params["eta"])
-        if p < 2.0 or eta > (p - 1.0) / (p * obj.L) * (1.0 + 1e-12):
-            continue
-        spec = theory.BoundSpec("memsgd_discrete", {
-            "p": p, "eta": eta, "d": obj.dim, "varsigma2": varsigma2,
-            "dist2": dist2,
-        })
-        out.append((label, spec))
-    return out
-
-
 def run_verification(
     config: harness.ExperimentConfig | None = None, threads: int = 1
 ) -> tuple[list[CheckResult], harness.ExperimentResult]:
@@ -232,11 +212,9 @@ def run_verification(
         "experiment-batch", len(result.traces) == expected and n_div == 0,
         f"{len(result.traces)} runs, {n_div} diverged",
     ))
-    obj, noise = harness.build_objective(config.problem)
-    for label, spec in _auto_bounds(config, obj, noise):
-        report = harness.check_bounds(result.traces, spec, method=label)
+    for report in harness.check_config_bounds(config, result.traces):
         checks.append(CheckResult(
-            f"rate-bound[{label}]", report.status == "ok",
+            f"rate-bound[{report.method}]", report.status == "ok",
             f"status={report.status}, {report.summary()}",
         ))
     return checks, result

@@ -232,6 +232,38 @@ class TestVerifyCommand:
         assert "[FAIL] experiment-batch: 4 runs, 2 diverged" in out
         assert out.count("[FAIL]") == 1
 
+    @pytest.mark.parametrize("params, status", [
+        ({}, "ok"), ({"dist2": 1e-3, "varsigma2": 0.0}, "violations")],
+        ids=["ok", "violations"])
+    def test_declared_bound_checked_as_optimize_checks_it(self, optimize_config, tmp_path,
+                                                          capsys, params, status):
+        cfg_path, _ = optimize_config
+        raw = json.loads(cfg_path.read_text())
+        raw["bounds"][0]["params"].update(params)
+        cfg_path.write_text(json.dumps(raw))
+        main(["optimize", "--config", str(cfg_path)])
+        prefix = "bound memsgd_discrete on memsgd(eta=0.5,p=2.0): "
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith(prefix)]
+        optimize_status, summary = line[len(prefix):].split(" ", 1)
+        code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")])
+        report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+        (check,) = [c for c in report["checks"] if c["name"].startswith("rate-bound[")]
+        assert optimize_status == status
+        assert check == {"name": "rate-bound[memsgd(eta=0.5,p=2.0)]",
+                         "passed": status == "ok",
+                         "detail": f"status={status}, {summary[1:-1]}"}
+        assert code == (0 if status == "ok" else 1)
+
+    def test_no_bound_checked_unless_declared(self, optimize_config, tmp_path):
+        cfg_path, _ = optimize_config
+        raw = json.loads(cfg_path.read_text())
+        del raw["bounds"]
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 0
+        report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+        assert not [c for c in report["checks"] if c["name"].startswith("rate-bound[")]
+
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
             "problem": {"name": "quadratic_diag", "params": {"coeffs": [0.5]}},

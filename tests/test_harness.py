@@ -67,8 +67,7 @@ PARAM_VALUES = {
     "eps": st.floats(1e-12, 1.0), "beta": st.floats(0.01, 0.99),
     "beta1": st.floats(0.0, 0.99), "beta2": st.floats(0.0, 0.99),
     "p": st.floats(2.0, 100.0), "p2": st.floats(2.0, 100.0),
-    "mode": st.sampled_from(["exact", "asymptotic"]),
-    "allow_small_p": st.booleans(), "eps_outside_root": st.booleans(),
+    "allow_small_p": st.booleans(),
 }
 
 
@@ -152,8 +151,16 @@ class TestConfig:
          "problem.noise", "seed"),
         (small_raw(problem={"name": "quadratic_diag", "params": {"coef": [1.0]}}),
          "problem quadratic_diag", "coef"),
+        (small_raw(tolerances={}), "config", "tolerances"),
+        (small_raw(methods=[{"name": "adam",
+                             "params": {"eta": 0.1, "eps_outside_root": True}}]),
+         "method adam(eps_outside_root=True,eta=0.1)", "eps_outside_root"),
+        (small_raw(methods=[{"name": "unbiased_hb",
+                             "params": {"eta": 0.1, "beta": 0.9, "mode": "asymptotic"}}]),
+         "method unbiased_hb(beta=0.9,eta=0.1,mode=asymptotic)", "mode"),
     ], ids=["adam-beta_1", "hb-no-beta", "hb_ode-viscocity", "run-record_strid",
-            "noise-seed", "quadratic_diag-coef"])
+            "noise-seed", "quadratic_diag-coef", "tolerances", "adam-eps_outside_root",
+            "unbiased_hb-mode"])
     def test_bad_keys_rejected_at_load(self, raw, where, key):
         with pytest.raises(ValueError) as err:
             ExperimentConfig.from_dict(raw)
@@ -328,7 +335,6 @@ class TestConfig:
                     "x0": [data.draw(finite)], "n_seeds": data.draw(st.integers(1, 99)),
                     "record_stride": data.draw(st.integers(1, 99))},
             "output": {"directory": data.draw(st.text(min_size=1)), "formats": ["csv"]},
-            "tolerances": data.draw(st.dictionaries(st.text(), finite, max_size=3)),
             "bounds": [],
             "master_seed": data.draw(st.integers(0, 2**64 - 1)),
         }

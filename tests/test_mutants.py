@@ -12,6 +12,7 @@ from memgrad import continuum, optimizers, theory
 from memgrad.verify import run_verification
 
 HB_STEP = optimizers.hb_step
+MEMSGD_STEP = optimizers.memsgd_p_step
 GAMMA_STAR = theory.gamma_star
 
 
@@ -21,6 +22,14 @@ def hb_without_momentum(state, g, eta, beta):
 
 def hb_with_momentum_off_by_1e7(state, g, eta, beta):
     return HB_STEP(state, g, eta=eta, beta=beta * (1.0 + 1e-7))
+
+
+def memsgd_without_discount(state, g, eta, p, allow_small_p=False, lipschitz=None):
+    """The momentum term k/(k+p) kept, the gradient step -eta g instead of
+    -p/(k+p) eta g.  ``lipschitz`` is not passed on: the scaled eta crosses
+    the stepsize warning's threshold by construction."""
+    return MEMSGD_STEP(state, g, eta=eta * (state.k + p) / p, p=p,
+                       allow_small_p=allow_small_p)
 
 
 def explicit_euler_step(state, spec, h):
@@ -60,6 +69,8 @@ MUTANTS = {
                      "momentum-sum-equivalence"),
     "hb-beta-off-by-1e-7": (optimizers, "hb_step", hb_with_momentum_off_by_1e7,
                             "momentum-sum-equivalence"),
+    "memsgd-without-discount": (optimizers, "memsgd_p_step", memsgd_without_discount,
+                                "rate-bound[memsgd(eta=12.5,p=2.0)]"),
     "explicit-euler": (continuum, "semi_implicit_euler_step", explicit_euler_step,
                        "semi-implicit-correspondence"),
     "position-first-euler": (continuum, "semi_implicit_euler_step",

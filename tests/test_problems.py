@@ -1,7 +1,5 @@
 """Objectives, declared constants, and gradient-noise models."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -308,18 +306,3 @@ class TestNoiseModelValidation:
     def test_gaussian_needs_sigma(self):
         with pytest.raises(ValueError):
             NoiseModel("gaussian")
-
-    def test_variance_per_coordinate(self):
-        assert NoiseModel("none").variance_per_coordinate() == 0.0
-        assert NoiseModel("gaussian", sigma=0.5).variance_per_coordinate() == 0.25
-        sigma = np.diag([0.2, 0.7])
-        np.testing.assert_allclose(
-            NoiseModel("gaussian", sigma=sigma).variance_per_coordinate(), 0.49
-        )
-
-    def test_sigma_of_another_size_named_at_the_first_draw(self):
-        obj = quadratic_diag([1.0, 1.0])
-        message = "noise sigma has shape (3, 3), but objective quadratic_diag(1.0, 1.0) has dim 2"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            stochastic_gradient(obj, NoiseModel("gaussian", np.eye(3)), np.ones(2),
-                                np.random.default_rng(0))
