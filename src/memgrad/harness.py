@@ -18,7 +18,6 @@ import json
 import math
 import numbers
 import sys
-import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -181,7 +180,7 @@ class ExperimentConfig:
             names[label] = name
             try:
                 _dry_run(kind, name, params, x0, self.run)
-            except (TypeError, ValueError, optimizers.NonFiniteGradientError) as err:
+            except (TypeError, ValueError) as err:
                 raise ValueError(f"method {label}: {err}") from None
         for entry in self.bounds:
             _check_keys("bounds", entry, ("kind", "method"))
@@ -254,17 +253,19 @@ def _checked_run(run: dict, kind: str) -> np.ndarray:
 
 
 def _dry_run(kind: str, name: str, params: dict, x0: np.ndarray, run: dict) -> None:
-    """One step of the method's stepper from x0 with a zero gradient, or its SDE
-    model built for x0, so that the function's own checks see the params.  The
-    stepper is unwrapped, so that a traced stepper does not count the dry step."""
+    """One step of the method's stepper from x0 with a zero gradient, after its
+    float params are checked finite, or its SDE model built for x0, so that the
+    function's own checks see the params.  The stepper is unwrapped, so that a
+    traced stepper does not count the dry step."""
     fn, kwargs = _method_call(kind, name, params)
     fn = inspect.unwrap(fn)
     if kind == "simulate":
         fn(None, x0.size, eps_start=float(run.get("eps_start", EPS_START)), **kwargs)
         return
-    with warnings.catch_warnings():  # the run itself warns, e.g. of a large stepsize
-        warnings.simplefilter("ignore")
-        fn(optimizers.OptimizerState.initial(x0), np.zeros_like(x0), **kwargs)
+    for key, value in kwargs.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+    fn(optimizers.OptimizerState.initial(x0), np.zeros_like(x0), **kwargs)
 
 
 def _bind(fn, *args, **kwargs) -> None:
@@ -443,8 +444,6 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
     iterations = int(run_cfg["iterations"])
     stride = int(run_cfg.get("record_stride", 1))
     stepper, params = _method_call("optimize", name, params)
-    if name == "memsgd" and "lipschitz" not in params and obj.L is not None:
-        params["lipschitz"] = obj.L
     state = optimizers.OptimizerState.initial(np.asarray(run_cfg["x0"], dtype=float))
     blocks, pending = [], [(0, state.x, 0.0)]  # (index, iterate, step norm)
 
@@ -455,13 +454,17 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
         blocks.append(kept)
         return None if stop is None else index[stop]
 
+    # Steppers do not check finiteness: the run diverges at the step whose
+    # gradient draw or new iterate is not finite.
     status, diverged_at, overflow = "completed", None, None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iterations):
             g = problems.stochastic_gradient(obj, noise, state.x, rng)
-            try:
-                state = stepper(state, g, **params)
-            except optimizers.NonFiniteGradientError:
+            if not np.isfinite(g).all():
+                status, diverged_at = "diverged", k + 1
+                break
+            state = stepper(state, g, **params)
+            if not np.isfinite(state.x).all():
                 status, diverged_at = "diverged", k + 1
                 break
             if (k + 1) % stride == 0 or k + 1 == iterations:
@@ -522,6 +525,36 @@ def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, see
     return traces
 
 
+def _check_against_objective(config: ExperimentConfig, obj: problems.Objective) -> None:
+    """Raise ValueError unless x0 has the objective's dimension and each declared
+    bound describes its run: d = len(x0); dist2 = ||x0 - x*||^2 (to 1e-12
+    relative) if x* is declared; and a ``memsgd_discrete`` bound has its
+    method's p and eta, with eta <= (p-1)/(pL) (to 1e-12) if L is declared."""
+    x0 = np.asarray(config.run["x0"], dtype=float)
+    if x0.size != obj.dim:
+        raise ValueError(f"run: x0 has length {x0.size}, but problem "
+                         f"{config.problem['name']} has dim {obj.dim}")
+    methods = {label: params for label, _, params in config.expanded_methods()}
+    for entry in config.bounds:
+        params, where = entry.get("params", {}), f"bounds: {entry['kind']} on {entry['method']}"
+        if params["d"] != x0.size:
+            raise ValueError(f"{where}: d = {params['d']!r}, but x0 has length {x0.size}")
+        if obj.x_star is not None:
+            dist2 = float(np.sum((x0 - obj.x_star) ** 2))
+            if not math.isclose(params["dist2"], dist2, rel_tol=1e-12):
+                raise ValueError(f"{where}: dist2 = {params['dist2']!r}, but "
+                                 f"||x0 - x*||^2 = {dist2!r}")
+        if entry["kind"] != "memsgd_discrete":
+            continue
+        p, eta = methods[entry["method"]]["p"], methods[entry["method"]]["eta"]
+        if (params["p"], params["eta"]) != (p, eta):
+            raise ValueError(f"{where}: p, eta = {params['p']!r}, {params['eta']!r}, "
+                             f"but the method has {p!r}, {eta!r}")
+        if obj.L is not None and eta > (p - 1.0) / (p * obj.L) * (1.0 + 1e-12):
+            raise ValueError(f"{where}: eta = {eta!r} exceeds (p-1)/(pL) = "
+                             f"{(p - 1.0) / (p * obj.L)!r}, so the rate does not apply")
+
+
 @dataclass
 class ExperimentResult:
     traces: list
@@ -537,13 +570,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     method are integrated together.  Each run derives its own RNG substream
     from its run id, so the result set does not depend on run order.  A run
     that diverges is recorded up to its failure index and never aborts the
-    batch.
+    batch.  Before the first run, x0 and each declared bound are checked
+    against the objective.
     """
     config.validate()
     obj, noise = build_objective(config.problem)
-    if len(config.run["x0"]) != obj.dim:
-        raise ValueError(f"run: x0 has length {len(config.run['x0'])}, but problem "
-                         f"{config.problem['name']} has dim {obj.dim}")
+    _check_against_objective(config, obj)
     seeds = range(int(config.run.get("n_seeds", 1)))
     args = (obj, noise, config.run, config.master_seed)
     if config.run.get("kind", "optimize") == "optimize":

@@ -5,11 +5,15 @@ to a fresh state; gradient sampling lives with the problem definitions, so
 identical inputs always produce bit-identical outputs.  States follow the
 convention x_prev = x at k = 0, which makes the first step of every
 momentum method a plain gradient step.
+
+The update is elementwise, so a state may hold one run (shape (d,)) or a
+batch of runs that share k (shape (n, d)); each row steps as it would
+alone.  Steppers never check finiteness: a NaN or inf gradient gives a
+non-finite iterate, and the loop that steps them decides what that means.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +22,6 @@ from memgrad.memory import validate_memsgd_degree
 
 __all__ = [
     "OptimizerState",
-    "NonFiniteGradientError",
     "sgd_step",
     "hb_step",
     "memsgd_p_step",
@@ -28,10 +31,6 @@ __all__ = [
     "adamnc_step",
     "polyadam_step",
 ]
-
-
-class NonFiniteGradientError(RuntimeError):
-    """A gradient or a new iterate has NaN or infinite entries."""
 
 
 @dataclass(frozen=True)
@@ -53,28 +52,16 @@ class OptimizerState:
         x0 = np.asarray(x0, dtype=float)
         return cls(x0.copy(), x0.copy(), 0, np.zeros_like(x0), np.zeros_like(x0))
 
-    @property
-    def dim(self) -> int:
-        return self.x.size
-
 
 def _checked_gradient(state: OptimizerState, g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != state.x.shape:
         raise ValueError(f"gradient shape {g.shape} != iterate shape {state.x.shape}")
-    if not np.isfinite(g).all():
-        raise NonFiniteGradientError("gradient contains NaN or inf")
     return g
 
 
 def _next_state(state: OptimizerState, x_new, m1=None, m2=None) -> OptimizerState:
-    """The state after one step to ``x_new``, keeping the moments not given.
-
-    Every stepper returns through here, so each reports a non-finite
-    iterate at the step that made it.
-    """
-    if not np.isfinite(x_new).all():
-        raise NonFiniteGradientError("iterate diverged to non-finite values")
+    """The state after one step to ``x_new``, keeping the moments not given."""
     return OptimizerState(x_new, state.x, state.k + 1,
                           state.m1 if m1 is None else m1,
                           state.m2 if m2 is None else m2)
@@ -117,7 +104,6 @@ def memsgd_p_step(
     eta: float,
     p: float,
     allow_small_p: bool = False,
-    lipschitz: float | None = None,
 ) -> OptimizerState:
     """Polynomial-forgetting step with degree p:
 
@@ -125,21 +111,13 @@ def memsgd_p_step(
 
     The implied gradient weights sum to one at every k, so constant
     gradient fields produce the exact update -eta g each step.  The rate
-    guarantee needs eta <= (p-1)/(p L); when a Lipschitz constant is
-    supplied and the stepsize exceeds that threshold we warn and proceed
-    (experiment grids intentionally cross it).
+    guarantee needs eta <= (p-1)/(p L); a declared ``memsgd_discrete``
+    bound is checked against that threshold before its runs.
     """
     g = _checked_gradient(state, g)
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
     validate_memsgd_degree(p, allow_small_p)
-    if lipschitz is not None and eta > (p - 1.0) / (p * lipschitz) * (1.0 + 1e-12):
-        warnings.warn(
-            f"stepsize {eta} exceeds (p-1)/(pL) = {(p - 1.0) / (p * lipschitz):.3g}; "
-            "the suboptimality bound may not hold",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     k = state.k
     momentum = k / (k + p)
     discount = p / (k + p)

@@ -109,10 +109,6 @@ def exp_cesaro_bound(
     return (f_gap0 + 0.5 * alpha * dist2) / (alpha * tau * t) + 0.5 * d * sigma2 / tau
 
 
-# gamma_star's floor on its rounded discriminant q.
-_DISCRIMINANT_FLOOR = -2e-15
-
-
 def gamma_star(alpha, tau, mu_tilde):
     """Optimal exponential decay rate under quadratic growth.
 
@@ -125,9 +121,9 @@ def gamma_star(alpha, tau, mu_tilde):
     The two branches meet at alpha_max (gamma = tau sqrt(mu_tilde)/2 for
     tau <= 2).  The second is evaluated as alpha tau r^2 / (1 + sqrt(q)),
     r = sqrt(mu_tilde)/alpha, q = 1 - 2 tau r^2, which neither overflows nor
-    cancels; q >= ((tau-2)/(tau+2))^2 there, so a q below a few ulps of
-    rounding is a ValueError.  The arguments broadcast; each branch is
-    evaluated on its own elements only, and scalars give floats.
+    cancels; q >= ((tau-2)/(tau+2))^2 there, so q is negative by at most
+    rounding, which the root clamps to 0.  The arguments broadcast; each
+    branch is evaluated on its own elements only, and scalars give floats.
     """
     alpha, tau, mu_tilde = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                                  for v in (alpha, tau, mu_tilde)))
@@ -143,10 +139,6 @@ def gamma_star(alpha, tau, mu_tilde):
         r = np.sqrt(m) / a
         tau_r2 = t * r * r
         q = 1.0 - 2.0 * tau_r2
-        if (q < _DISCRIMINANT_FLOOR).any():
-            i = np.argmax(q < _DISCRIMINANT_FLOOR)
-            raise ValueError(f"negative discriminant at alpha={float(a[i])!r}, "
-                             f"tau={float(t[i])!r}, mu_tilde={float(m[i])!r}")
         gamma[~lower] = a * tau_r2 / (1.0 + np.sqrt(np.maximum(q, 0.0)))
     return (float(gamma), float(alpha_max)) if gamma.ndim == 0 else (gamma, alpha_max)
 

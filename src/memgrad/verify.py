@@ -2,8 +2,9 @@
 
 Each check is cheap enough to run routinely; the heavyweight statistical
 reproductions live in the acceptance test suite.  A check returns a
-pass/fail flag plus the worst observed value.  The battery ends with a
-configured experiment batch, which must run every (method, seed) without
+pass/fail flag plus the worst observed value; the worst is taken with numpy,
+which carries a NaN through, so a non-finite output fails its check.  The
+battery ends with a configured experiment batch, which must run every (method, seed) without
 divergence, and with each closed-form bound the config declares, checked
 against its method's runs as ``optimize`` checks it.
 """
@@ -61,10 +62,8 @@ def default_verify_config() -> harness.ExperimentConfig:
 
 
 def _check_discrete_normalization() -> CheckResult:
-    worst = 0.0
-    for p in (2.0, 3.0, 4.0, 100.0):
-        sums = memory.memsgd_weight_sums(p, 2000)
-        worst = max(worst, float(np.max(np.abs(sums - 1.0))))
+    worst = float(np.max([np.abs(memory.memsgd_weight_sums(p, 2000) - 1.0)
+                          for p in (2.0, 3.0, 4.0, 100.0)]))
     return CheckResult(
         "discrete-weight-normalization", worst < 1e-12,
         f"max |sum - 1| = {worst:.3e} over p in {{2,3,4,100}}, k <= 2000",
@@ -75,8 +74,8 @@ def _check_continuous_normalization() -> CheckResult:
     mf = memory.MemoryFunction
     kinds = [mf.decaying(), mf.constant(), mf.square_root(), mf.linear(), mf.quadratic(),
              mf.exponential(1.0), mf.super_exponential(1.2)]
-    worst = max(abs(memory.weight_normalization(kind, t) - 1.0)
-                for kind in kinds for t in (0.1, 1.0, 10.0, 100.0))
+    worst = float(np.max([abs(memory.weight_normalization(kind, t) - 1.0)
+                          for kind in kinds for t in (0.1, 1.0, 10.0, 100.0)]))
     return CheckResult(
         "continuous-weight-normalization", worst < 1e-8,
         f"max quadrature defect = {worst:.3e}",
@@ -97,7 +96,7 @@ def _check_hb_sum_equivalence() -> CheckResult:
         for g, beta in zip(grads, betas):
             state = optimizers.hb_step(state, g, eta=eta, beta=beta)
         expanded = theory.hb_sum_expand(betas, eta, grads.reshape(k + 1, -1), x0.ravel())
-        worst = max(worst, float(np.max(np.abs(state.x.ravel() - expanded))))
+        worst = float(np.maximum(worst, np.max(np.abs(state.x.ravel() - expanded))))
     return CheckResult(
         "momentum-sum-equivalence", worst < 1e-12,
         f"max |recursion - expansion| = {worst:.3e} over 100 trials",
@@ -118,7 +117,7 @@ def _check_semi_implicit() -> CheckResult:
             xs.append(ps.x)
         prev, x, nxt = np.array(xs[:-2]), np.array(xs[1:-1]), np.array(xs[2:])
         residual = nxt - (x + (1.0 - h * alpha) * (x - prev) - h * h * obj.grad(x))
-        worst = max(worst, float(np.max(np.abs(residual))))
+        worst = float(np.maximum(worst, np.max(np.abs(residual))))
     return CheckResult(
         "semi-implicit-correspondence", worst < 1e-12,
         f"max HB recursion residual = {worst:.3e} over 1000 steps",
@@ -167,7 +166,7 @@ def _check_bias_correction_identity() -> CheckResult:
     for _ in range(200):
         state = optimizers.adam_step(state, g, eta=0.1, beta1=0.9, beta2=0.999)
         mhat = state.m1 / (1.0 - 0.9**state.k)
-        worst = max(worst, float(np.max(np.abs(mhat - g))))
+        worst = float(np.maximum(worst, np.max(np.abs(mhat - g))))
     return CheckResult(
         "first-moment-bias-correction", worst < 1e-12,
         f"max |corrected moment - gradient| = {worst:.3e}",

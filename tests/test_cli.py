@@ -5,9 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from memgrad import continuum, theory
+from memgrad import continuum, optimizers, theory
 from memgrad.cli import main
 from memgrad.harness import ExperimentConfig
+
+MEMSGD_STEP = optimizers.memsgd_p_step
+
+
+def memsgd_ignoring_its_gradient(state, g, eta, p, allow_small_p=False):
+    """A wrong MemSGD that never moves, so f_gap stays at f_gap(x0)."""
+    return MEMSGD_STEP(state, np.zeros_like(g), eta=eta, p=p, allow_small_p=allow_small_p)
 
 
 @pytest.fixture
@@ -50,19 +57,19 @@ class TestOptimizeCommand:
         assert "bound memsgd_discrete" in captured
         assert "violations=0" in captured
 
-    def test_violated_bound_says_where(self, optimize_config, capsys):
-        # With dist2 = 1e-3 the bound at k = 0 is 5e-4, far below f_gap(x0) = 1.
+    def test_violated_bound_says_where(self, optimize_config, capsys, monkeypatch):
+        # The bound is 1/(k+1) + 0.0025, and a MemSGD that never moves stays at
+        # f_gap(x0) = 1: within the bound at k = 0, above it at every later
+        # record (k = 10, 20, ..., 60), and furthest above it at k = 60.
+        monkeypatch.setattr(optimizers, "memsgd_p_step", memsgd_ignoring_its_gradient)
         cfg_path, _ = optimize_config
-        raw = json.loads(cfg_path.read_text())
-        raw["bounds"][0]["params"].update(dist2=1e-3, varsigma2=0.0)
-        cfg_path.write_text(json.dumps(raw))
         assert main(["optimize", "--config", str(cfg_path)]) == 1
         prefix = "bound memsgd_discrete on memsgd(eta=0.5,p=2.0): "
         (line,) = [ln for ln in capsys.readouterr().out.splitlines()
                    if ln.startswith(prefix)]
         assert line[len(prefix):].split()[0] == "violations"
-        assert "first_violation_index=0," in line
-        assert "max_relative_excess=1.999e+03" in line
+        assert "checked=7, violations=6, first_violation_index=10," in line
+        assert f"max_relative_excess={1.0 / (1.0 / 61.0 + 0.0025) - 1.0:.3e}" in line
 
     def test_kind_mismatch_rejected(self, optimize_config):
         cfg_path, _ = optimize_config
@@ -232,15 +239,14 @@ class TestVerifyCommand:
         assert "[FAIL] experiment-batch: 4 runs, 2 diverged" in out
         assert out.count("[FAIL]") == 1
 
-    @pytest.mark.parametrize("params, status", [
-        ({}, "ok"), ({"dist2": 1e-3, "varsigma2": 0.0}, "violations")],
+    @pytest.mark.parametrize("stepper, status", [
+        (MEMSGD_STEP, "ok"), (memsgd_ignoring_its_gradient, "violations")],
         ids=["ok", "violations"])
     def test_declared_bound_checked_as_optimize_checks_it(self, optimize_config, tmp_path,
-                                                          capsys, params, status):
+                                                          capsys, monkeypatch, stepper,
+                                                          status):
+        monkeypatch.setattr(optimizers, "memsgd_p_step", stepper)
         cfg_path, _ = optimize_config
-        raw = json.loads(cfg_path.read_text())
-        raw["bounds"][0]["params"].update(params)
-        cfg_path.write_text(json.dumps(raw))
         main(["optimize", "--config", str(cfg_path)])
         prefix = "bound memsgd_discrete on memsgd(eta=0.5,p=2.0): "
         (line,) = [ln for ln in capsys.readouterr().out.splitlines()

@@ -35,6 +35,7 @@ from memgrad.harness import (
     run_experiment,
 )
 from memgrad.theory import BOUND_KINDS, BoundSpec
+from memgrad.verify import default_verify_config
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -63,8 +64,7 @@ SIMULATE_RUN = {"kind": "simulate", "t_end": 1.0, "h": 1e-3, "x0": [1.0, 1.0]}
 # Valid values of every stepper param, so that whether a method entry loads
 # depends on its keys alone.
 PARAM_VALUES = {
-    "eta": st.floats(1e-6, 1e6), "lipschitz": st.floats(1e-6, 1e6),
-    "eps": st.floats(1e-12, 1.0), "beta": st.floats(0.01, 0.99),
+    "eta": st.floats(1e-6, 1e6), "eps": st.floats(1e-12, 1.0), "beta": st.floats(0.01, 0.99),
     "beta1": st.floats(0.0, 0.99), "beta2": st.floats(0.0, 0.99),
     "p": st.floats(2.0, 100.0), "p2": st.floats(2.0, 100.0),
     "allow_small_p": st.booleans(),
@@ -220,9 +220,14 @@ class TestConfig:
                    run=dict(SIMULATE_RUN, eps_start=-1)), "run"),
         (small_raw(methods=[{"name": "nesterov", "params": {}}],
                    run=dict(SIMULATE_RUN, eps_start=2.0)), "run"),
+        (small_raw(methods=[{"name": "sgd", "params": {"eta": math.nan}}]),
+         "method sgd(eta=nan)"),
+        (small_raw(methods=[{"name": "adam", "params": {"eta": math.inf}}]),
+         "method adam(eta=inf)"),
     ], ids=["hb-beta-1.5", "mg-instantaneous", "record_stride-0", "n_seeds-0",
             "n_seeds-2.5", "iterations--1", "x0-inf", "x0-2d", "v0-length",
-            "h-negative", "eps_start-negative", "t_end-before-eps_start"])
+            "h-negative", "eps_start-negative", "t_end-before-eps_start",
+            "sgd-eta-nan", "adam-eta-inf"])
     def test_bad_values_rejected_at_load(self, raw, where):
         with pytest.raises(ValueError) as err:
             ExperimentConfig.from_dict(raw)
@@ -235,6 +240,50 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^run: x0 has length 3, but problem "
                                              r"quadratic_diag has dim 2"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("params, message", [
+        ({"p": 3.0}, "p, eta = 3.0, 12.5, but the method has 2.0, 12.5"),
+        ({"eta": 100.0}, "p, eta = 2.0, 100.0, but the method has 2.0, 12.5"),
+        ({"d": 7}, "d = 7, but x0 has length 2"),
+        ({"dist2": 50.0}, "dist2 = 50.0, but ||x0 - x*||^2 = 2.0"),
+        ({"p": 3.0, "eta": 100.0, "d": 7, "dist2": 50.0}, "d = 7"),
+        ({"dist2": 2.0 * (1.0 + 1e-11)}, "||x0 - x*||^2 = 2.0"),
+    ], ids=["p", "eta", "d", "dist2", "all-four", "dist2-off-by-1e-11"])
+    def test_bound_that_misdescribes_its_run_fails_before_any_run(self, monkeypatch,
+                                                                  params, message):
+        cfg = default_verify_config()
+        cfg.bounds[0]["params"].update(params)
+        cfg.validate()  # the params bind to the formula; only the run disagrees
+        monkeypatch.setattr(harness, "_execute_optimize",
+                            lambda *args: pytest.fail("a run started"))
+        with pytest.raises(ValueError) as err:
+            run_experiment(cfg)
+        assert str(err.value).startswith(
+            "bounds: memsgd_discrete on memsgd(eta=12.5,p=2.0): ")
+        assert message in str(err.value)
+
+    def test_memsgd_bound_beyond_its_stepsize_hypothesis_fails_before_any_run(
+            self, monkeypatch):
+        # quadratic_diag([2e-2, 5e-3]) has L = 0.04, so (p-1)/(pL) = 12.5 at p = 2.
+        cfg = default_verify_config()
+        cfg.methods[0]["params"]["eta"] = 200.0
+        cfg.bounds[0].update(method="memsgd(eta=200.0,p=2.0)")
+        cfg.bounds[0]["params"]["eta"] = 200.0
+        monkeypatch.setattr(harness, "_execute_optimize",
+                            lambda *args: pytest.fail("a run started"))
+        with pytest.raises(ValueError, match=r"eta = 200.0 exceeds \(p-1\)/\(pL\) = 12.5"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("config", [
+        default_verify_config(), ExperimentConfig.from_file(CONFIG_DIR / "quartic_noise.json"),
+        small_config(bounds=[{"kind": "memsgd_discrete", "method": "memsgd(eta=12.5,p=2.0)",
+                              "params": {"p": 2.0, "eta": 12.5, "d": 2,
+                                         "dist2": 2.0 * (1.0 + 1e-13)}}]),
+    ], ids=["verify", "quartic_noise", "dist2-off-by-1e-13"])
+    def test_declared_bounds_that_describe_their_runs_pass(self, config):
+        # quartic's eta is (p-1)/(pL) up to rounding, inside the 1e-12 slack.
+        obj, _ = build_objective(config.problem)
+        harness._check_against_objective(config, obj)
 
     def test_dry_step_bypasses_a_wrapped_stepper(self, monkeypatch):
         # A tracer replaces module attributes with wrappers that set

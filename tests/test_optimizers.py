@@ -10,7 +10,6 @@ from memgrad import optimizers
 from memgrad.harness import METHODS
 from memgrad.memory import discrete_weights_memsgd
 from memgrad.optimizers import (
-    NonFiniteGradientError,
     OptimizerState,
     adagrad_step,
     adam_step,
@@ -47,9 +46,10 @@ class TestSgd:
             s = sgd_step(s, s.x, eta=0.1)
         np.testing.assert_allclose(s.x, [0.9**10], rtol=1e-14)
 
-    def test_rejects_nonfinite_gradient(self):
-        with pytest.raises(NonFiniteGradientError):
-            sgd_step(fresh([0.0]), np.array([np.nan]), eta=0.1)
+    def test_nonfinite_gradient_gives_nonfinite_iterate(self):
+        # Steppers do not check finiteness; the loop that steps them does.
+        s = sgd_step(fresh([0.0, 1.0]), np.array([np.nan, 1.0]), eta=0.1)
+        assert np.isnan(s.x[0]) and s.x[1] == 0.9
 
 
 class TestHeavyBall:
@@ -124,11 +124,6 @@ class TestMemsgd:
             s = memsgd_p_step(s, g, eta=0.1, p=2.0)
             np.testing.assert_allclose(s.x - x_old, -0.1 * g, rtol=1e-12)
 
-    def test_stepsize_warning(self):
-        s = fresh([1.0])
-        with pytest.warns(RuntimeWarning):
-            memsgd_p_step(s, np.array([1.0]), eta=1.0, p=2.0, lipschitz=1.0)
-
     def test_stability_under_guaranteed_stepsize(self):
         # f = 0.5 ||x||^2 (L = 1), eta = (p-1)/(pL).  Momentum overshoot
         # makes f oscillate locally, so pointwise descent is not available;
@@ -143,7 +138,7 @@ class TestMemsgd:
             dist2 = float(np.sum(s.x**2))
             f0 = 0.5 * dist2
             for _ in range(300):
-                s = memsgd_p_step(s, s.x, eta=eta, p=p, lipschitz=1.0)
+                s = memsgd_p_step(s, s.x, eta=eta, p=p)
                 f = 0.5 * np.sum(s.x**2)
                 bound = memsgd_rate_bound(p, eta, s.k, 2, 0.0, dist2)
                 assert f <= bound + 1e-15
@@ -234,10 +229,11 @@ class TestAdam:
         s2 = adam_step(s, g, eta=0.1, beta1=0.0, beta2=0.0, eps=1e-16)
         np.testing.assert_allclose(s2.x - s.x, -0.1 * np.sign(g), rtol=1e-7)
 
-    def test_rejects_overflowing_step(self):
+    def test_overflowing_step_is_returned(self):
         # The gradient is finite; the step from 1e308 by about 1e308 is not.
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteGradientError):
-            adam_step(fresh([1e308]), np.array([-1.0]), eta=1e308)
+        with np.errstate(over="ignore"):
+            s = adam_step(fresh([1e308]), np.array([-1.0]), eta=1e308)
+        assert s.x.tolist() == [np.inf] and s.k == 1
 
 
 class TestAdagrad:
@@ -384,3 +380,32 @@ class TestStepperPurity:
         second = stepper(state, g, **PURITY_PARAMS[name])
         assert state_bytes(first) == state_bytes(second)
         assert (state_bytes(state), g.tobytes()) == before
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_batch_rows_match_single_row_calls(self, data):
+        # An (n, d) state steps each row to the bits a one-row call gives,
+        # whatever the other rows hold; a NaN or inf gradient raises nothing.
+        name = data.draw(st.sampled_from(sorted(METHODS)))
+        n, d = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+        block = hnp.arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3))
+        batch = OptimizerState(
+            x=data.draw(block), x_prev=data.draw(block),
+            k=data.draw(st.integers(0, 10**4)), m1=data.draw(block),
+            m2=data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats(0.0, 1e3))),
+        )
+        grads = data.draw(hnp.arrays(np.float64, (3, n, d), elements=st.floats()))
+        stepper = getattr(optimizers, METHODS[name])
+        rows = [row_of(batch, r) for r in range(n)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g in grads:
+                batch = stepper(batch, g, **PURITY_PARAMS[name])
+                rows = [stepper(row, g[r], **PURITY_PARAMS[name])
+                        for r, row in enumerate(rows)]
+        assert [state_bytes(row_of(batch, r)) for r in range(n)] == \
+            [state_bytes(row) for row in rows]
+
+
+def row_of(state, r):
+    """Row r of a batched state, as a one-run state."""
+    return OptimizerState(state.x[r], state.x_prev[r], state.k, state.m1[r], state.m2[r])
