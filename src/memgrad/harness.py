@@ -195,6 +195,9 @@ class ExperimentConfig:
             if names[method] not in BOUND_KINDS[spec.kind].families:
                 raise ValueError(f"bounds: kind {spec.kind!r} does not apply to "
                                  f"method {method!r}")
+            if spec.kind == "memsgd_discrete" and spec.params["p"] < 2.0:
+                raise ValueError(f"bounds: memsgd_discrete on {method}: p = "
+                                 f"{spec.params['p']!r}, but the rate needs p >= 2")
 
     def config_hash(self) -> str:
         """Content hash of the canonical serialized config."""

@@ -227,7 +227,8 @@ def logistic_synthetic(
         margin = y * np.dot(a, w)
         return -y * a / (1.0 + math.exp(margin)) + l2 * w
 
-    L = float(np.max(np.sum(features**2, axis=1))) / 4.0 + l2
+    # One row at a time: features**2 would be a second (n, dim) matrix.
+    L = max(float(np.sum(row * row)) for row in features) / 4.0 + l2
     return Objective(
         dim=dim,
         value=value,

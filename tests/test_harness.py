@@ -274,6 +274,25 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"eta = 200.0 exceeds \(p-1\)/\(pL\) = 12.5"):
             run_experiment(cfg)
 
+    def test_memsgd_bound_below_p_2_fails_at_load_before_any_stepper_call(
+            self, monkeypatch):
+        # The method may run at p = 1.5 (allow_small_p), but its bound cannot.
+        def stepper(*args, **kwargs):
+            pytest.fail("a stepper was called")
+
+        stepper.__wrapped__ = optimizers.memsgd_p_step  # what validate's dry step runs
+        monkeypatch.setattr(optimizers, "memsgd_p_step", stepper)
+        cfg = default_verify_config()
+        cfg.methods[0]["params"].update(p=1.5, eta=1.0, allow_small_p=True)
+        cfg.bounds[0].update(method="memsgd(allow_small_p=True,eta=1.0,p=1.5)")
+        cfg.bounds[0]["params"].update(p=1.5, eta=1.0)
+        message = (r"^bounds: memsgd_discrete on memsgd\(allow_small_p=True,eta=1.0,"
+                   r"p=1.5\): p = 1.5, but the rate needs p >= 2$")
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
+        with pytest.raises(ValueError, match=message):
+            run_experiment(cfg)
+
     @pytest.mark.parametrize("config", [
         default_verify_config(), ExperimentConfig.from_file(CONFIG_DIR / "quartic_noise.json"),
         small_config(bounds=[{"kind": "memsgd_discrete", "method": "memsgd(eta=12.5,p=2.0)",

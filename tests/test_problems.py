@@ -1,5 +1,7 @@
 """Objectives, declared constants, and gradient-noise models."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,26 @@ class TestLogisticSynthetic:
         b = logistic_synthetic(n=20, dim=3, seed=7)
         w = np.ones(3)
         np.testing.assert_array_equal(a.grad(w), b.grad(w))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_smoothness_constant_is_the_full_matrix_reduction(self, seed):
+        # At the benchmark's size; the stepsize threshold (p-1)/(pL) must not
+        # move by an ulp.  At w = 0 each component gradient is -y_i a_i / 2.
+        n, dim, l2 = 400, 5000, 0.1
+        obj = logistic_synthetic(n=n, dim=dim, seed=seed, l2=l2)
+        zero = np.zeros(dim)
+        F = np.stack([2.0 * obj.grad_component(i, zero) for i in range(n)])
+        assert obj.L == float(np.max(np.sum(F**2, axis=1))) / 4.0 + l2
+
+    def test_build_holds_one_copy_of_the_design_matrix(self):
+        matrix_bytes = 400 * 5000 * 8
+        tracemalloc.start()
+        try:
+            logistic_synthetic(n=400, dim=5000, seed=1, l2=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * matrix_bytes
 
 
 # Draws one objective per problem name, given the dimension and data.
