@@ -18,7 +18,11 @@ paths, shape (n, d), over that schedule; :func:`integrate_paths`,
 run it.  With constant (state-independent) volatility the diffusion
 coefficient has zero derivative, so for the systems reproduced here
 Euler-Maruyama coincides with Milstein.  The deterministic second-moment
-ODEs and time warp use scipy's adaptive DOP853.
+ODEs and time warp are solved by :func:`_dop853`, an in-tree port of scipy's
+adaptive DOP853 (``scipy/integrate/_ivp/rk.py`` and ``common.py``, BSD-3)
+that takes scipy's steps and reproduces its outputs bit for bit, with the
+Dormand-Prince 8(5,3) coefficients of Hairer, Norsett & Wanner.  It
+evaluates the requested outputs as it steps and keeps no dense solution.
 """
 
 from __future__ import annotations
@@ -415,6 +419,143 @@ def _output_grid(t0: float, t_end: float, h: float, stride: int) -> np.ndarray:
     return np.concatenate(([t0], t0 + j * h, [t_end]))
 
 
+# The Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, "Solving Ordinary
+# Differential Equations I", Sec. II.10) as the doubles of scipy's
+# dop853_coefficients: stages 0-11 take the step, row 12 of A is B (stage 12
+# is the derivative at the new point), and stages 13-15 feed the interpolant.
+_A = np.array([[row.get(j, 0.0) for j in range(16)] for row in (
+    {}, {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+     5: -0.015319437748624402, 6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+     5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+     5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+     8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+     5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+     8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625, 5: -17.9589318631188,
+     6: 27.94888452941996, 7: -2.8589982771350235, 8: -8.87285693353063, 9: 12.360567175794303,
+     10: 0.6433927460157636},
+    {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+     7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+     10: 0.20136540080403034, 11: 0.04471061572777259},
+    {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+     8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+     11: 0.007567897660545699, 12: -0.008298},
+    {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+     7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
+     12: -0.00034046500868740456, 13: 0.1413124436746325},
+    {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599, 7: 4.06898981839711,
+     8: 0.3567271874552811, 12: -0.0013990241651590145, 13: 2.9475147891527724,
+     14: -9.15095847217987},
+)])
+_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+    1.0, 1.0, 0.1, 0.2, 0.7777777777777778])
+_B = _A[12, :12]
+# Error weights over stages 0-12: the 5th-order E5, and E3 = B - bhh as scipy
+# computes it in floating point (E3 differs from B at stages 0, 8 and 11).
+_E5 = np.zeros(13)
+_E5[[0, *range(5, 12)]] = [
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294]
+_E3 = np.append(_B, 0.0)
+_E3[[0, 8, 11]] = [-0.18980075407240762, -0.4226823213237919, 0.02265179219836082]
+# Interpolant weights of powers 3-6 over all 16 stages.
+_D = np.zeros((4, 16))
+_D[:, [0, *range(5, 16)]] = [
+    [-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
+]
+
+
+def _dop853(fun, t0: float, y0, t_end: float, t_out) -> tuple[np.ndarray, float, str | None]:
+    """Solve y' = fun(t, y) (an array) from t0 to t_end > t0 as scipy 1.17's
+    ``solve_ivp(method="DOP853", rtol=RTOL, atol=ATOL)`` does: the same
+    initial step, step control, two-estimator error norm and interpolant, in
+    the same floating-point operations.  Each accepted step (t_old, t]
+    evaluates its interpolant at the sorted ``t_out`` in it (the first step
+    also at those <= t0).  Returns the states at the output times reached,
+    shape (len(y0), k); the last accepted time; and None, or why the solver
+    stopped.  Unlike scipy's, a NaN step size stops the solver.
+    """
+    t, t_end = float(t0), float(t_end)
+    y = np.asarray(y0, dtype=float)
+    ys, done, message, root_n = [], 0, None, y.size ** 0.5
+    # A trial step that overflows is rejected like any other.
+    with np.errstate(all="ignore"):
+        f = fun(t, y)
+        scale = ATOL + np.abs(y) * RTOL
+        d0, d1 = np.linalg.norm(y / scale) / root_n, np.linalg.norm(f / scale) / root_n
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
+        d2 = np.linalg.norm((fun(t + h0, y + h0 * f) - f) / scale) / root_n / h0
+        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+              else (0.01 / max(d1, d2)) ** (1 / 8))
+        h_abs = min(100 * h0, h1, t_end - t)
+        K_ext = np.empty((16, y.size))
+        K = K_ext[:13]
+        while t < t_end:
+            min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+            h_abs, rejected = max(h_abs, min_step), False
+            while h_abs >= min_step:
+                t_new = min(t + h_abs, t_end)
+                h = t_new - t
+                K[0] = f
+                for s in range(1, 12):
+                    K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+                y_new = y + h * np.dot(K[:12].T, _B)
+                f_new = K[12] = fun(t + h, y_new)
+                scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+                err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
+                err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
+                error_norm = (0.0 if err5 == 0 and err3 == 0 else
+                              h * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale)))
+                if error_norm < 1:
+                    factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.125)
+                    h_abs = h * (min(1, factor) if rejected else factor)
+                    break
+                h_abs, rejected = h * max(0.2, 0.9 * error_norm ** -0.125), True
+            else:  # the step shrank below min_step, or is NaN
+                message = "Required step size is less than spacing between numbers."
+                break
+            t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+            last = np.searchsorted(t_out, t, side="right")
+            if last > done:
+                for s in range(13, 16):
+                    K_ext[s] = fun(t_old + _C[s] * h,
+                                   y_old + np.dot(K_ext[:s].T, _A[s, :s]) * h)
+                dy = y - y_old
+                F = np.vstack((dy, h * K[0] - dy, 2 * dy - h * (f + K[0]),
+                               h * np.dot(_D, K_ext)))
+                x = ((t_out[done:last] - t_old) / h)[:, None]
+                z = np.zeros((len(x), y.size))
+                for i, row in enumerate(F[::-1]):
+                    z += row
+                    z *= x if i % 2 == 0 else 1 - x
+                z += y_old
+                ys.append(z.T)
+                done = last
+    return np.hstack([np.empty((y.size, 0)), *ys]), t, message
+
+
 def integrate_variance_ode(
     model: str,
     t0: float,
@@ -433,27 +574,23 @@ def integrate_variance_ode(
     p2**2 <= p1 p3 up to ``CS_TOL`` (scaled by the moment magnitude); the
     first one that does not, or a solver failure, raises DivergenceError.
     """
-    from scipy.integrate import solve_ivp
-
     if t0 <= 0.0 or t_end <= t0 or h <= 0.0:
         raise ValueError("need 0 < t0 < t_end and h > 0")
 
     def rhs(t, y):
-        return variance_ode_rhs(model, (t, *y), lam, sigma2)
+        return np.array(variance_ode_rhs(model, (t, *y), lam, sigma2))
 
-    sol = solve_ivp(rhs, (t0, t_end), np.asarray(init, dtype=float),
-                    method="DOP853", t_eval=_output_grid(t0, t_end, h, record_stride),
-                    rtol=RTOL, atol=ATOL)
-    if not sol.success:
-        t = float(sol.t[-1]) if sol.t.size else t0
-        raise DivergenceError(f"variance ODE solver stopped at t = {t}: "
-                              f"{sol.message}", time=t)
-    p1, p2, p3 = sol.y
+    times = _output_grid(t0, t_end, h, record_stride)
+    states, _, message = _dop853(rhs, t0, init, t_end, times)
+    if message:
+        t = float(times[states.shape[1] - 1]) if states.size else t0
+        raise DivergenceError(f"variance ODE solver stopped at t = {t}: {message}", time=t)
+    p1, p2, p3 = states
     ok = p2 * p2 - p1 * p3 <= CS_TOL * np.maximum(1.0, np.abs(p1 * p3))
     if not ok.all():
-        t = float(sol.t[np.argmin(ok)])
+        t = float(times[np.argmin(ok)])
         raise DivergenceError(f"Cauchy-Schwarz violation at t = {t}", time=t)
-    return np.rec.fromarrays([sol.t, p1, p2, p3], names="t,p1,p2,p3")
+    return np.rec.fromarrays([times, p1, p2, p3], names="t,p1,p2,p3")
 
 
 def time_warp_tau(t, p: float):
@@ -481,12 +618,10 @@ def warp_equivalence_check(
 
     Solves the noise-free memory system with m(t) = t**p up to tau(t_end)
     and the bare-gradient system with viscosity (2p-1)/t up to t_end, both
-    by dense DOP853, and returns the largest gap between X_mg(tau(t)) and
+    by DOP853, and returns the largest gap between X_mg(tau(t)) and
     X_hb(t) over the grid of spacing h * max(1, round(1e-4 / h)) in
     [compare_from, t_end].
     """
-    from scipy.integrate import solve_ivp
-
     x0 = np.ones(objective.dim) if x0 is None else np.asarray(x0, dtype=float)
     d = x0.size
     mg = memory_sde(objective.grad, d, MemoryFunction.polynomial(p), eps_start=eps_start)
@@ -498,17 +633,15 @@ def warp_equivalence_check(
         return np.concatenate(
             (v, -spec.friction(t) * v - spec.gradient_scale(t) * spec.grad(x)))
 
-    paths = []
-    for spec, end in ((mg, time_warp_tau(t_end, p)), (hb, t_end)):
-        sol = solve_ivp(rhs, (eps_start, end), np.concatenate((x0, np.zeros(d))),
-                        method="DOP853", dense_output=True, rtol=RTOL, atol=ATOL,
-                        args=(spec,))
-        if not sol.success:
-            raise DivergenceError(f"{spec.model} path stopped at t = {sol.t[-1]}: "
-                                  f"{sol.message}", time=float(sol.t[-1]))
-        paths.append(sol.sol)  # t -> stacked (X, V), shape (2d, len(t))
     times = _output_grid(eps_start, t_end, h, max(1, int(round(1e-4 / h))))
     times = times[times >= compare_from]
-    gaps = np.linalg.norm(paths[0](time_warp_tau(times, p))[:d] - paths[1](times)[:d],
-                          axis=0)
-    return float(gaps.max())
+    paths = []
+    for spec, end, t_out in ((mg, time_warp_tau(t_end, p), time_warp_tau(times, p)),
+                             (hb, t_end, times)):
+        states, t, message = _dop853(functools.partial(rhs, spec=spec), eps_start,
+                                     np.concatenate((x0, np.zeros(d))), end, t_out)
+        if message:
+            raise DivergenceError(f"{spec.model} path stopped at t = {t}: {message}",
+                                  time=float(t))
+        paths.append(states[:d])  # X at t_out, shape (d, len(t_out))
+    return float(np.linalg.norm(paths[0] - paths[1], axis=0).max())

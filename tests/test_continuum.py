@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,3 +489,145 @@ class TestTimeWarp:
     @pytest.mark.parametrize("p", [2.0, 1.5])
     def test_dense_solutions_agree_to_solver_tolerance(self, p):
         assert warp_equivalence_check(FIG_QUADRATIC, p, 4.0, 1e-4) < 1e-10
+
+
+# -- the in-tree DOP853 against scipy's -----------------------------------
+
+
+@pytest.fixture
+def solve_ivp():
+    return pytest.importorskip("scipy.integrate").solve_ivp
+
+
+def scipy_warp_gap(solve_ivp, objective, p, t_end, h, x0=None, eps_start=1e-12,
+                   compare_from=0.1):
+    """warp_equivalence_check as it was written on scipy: both paths solved by
+    dense DOP853 and their stored OdeSolutions evaluated afterwards."""
+    x0 = np.ones(objective.dim) if x0 is None else np.asarray(x0, dtype=float)
+    d = x0.size
+    mg = memory_sde(objective.grad, d, MemoryFunction.polynomial(p), eps_start=eps_start)
+    hb = hb_sde(objective.grad, d, viscosity=lambda t: (2.0 * p - 1.0) / t,
+                eps_start=eps_start)
+
+    def rhs(t, y, spec):
+        x, v = y[:d], y[d:]
+        return np.concatenate(
+            (v, -spec.friction(t) * v - spec.gradient_scale(t) * spec.grad(x)))
+
+    paths = []
+    for spec, end in ((mg, time_warp_tau(t_end, p)), (hb, t_end)):
+        sol = solve_ivp(rhs, (eps_start, end), np.concatenate((x0, np.zeros(d))),
+                        method="DOP853", dense_output=True, rtol=continuum.RTOL,
+                        atol=continuum.ATOL, args=(spec,))
+        if not sol.success:
+            raise DivergenceError(f"{spec.model} path stopped at t = {sol.t[-1]}: "
+                                  f"{sol.message}", time=float(sol.t[-1]))
+        paths.append(sol.sol)
+    times = continuum._output_grid(eps_start, t_end, h, max(1, int(round(1e-4 / h))))
+    times = times[times >= compare_from]
+    gaps = np.linalg.norm(paths[0](time_warp_tau(times, p))[:d] - paths[1](times)[:d],
+                          axis=0)
+    return float(gaps.max())
+
+
+def scipy_variance_ode(solve_ivp, model, t0, t_end, h, lam, sigma2, init=(1.0, 0.0, 0.0),
+                       record_stride=1):
+    """(t, p1, p2, p3) rows from scipy's DOP853 on the output grid; a solver
+    failure raises the DivergenceError integrate_variance_ode raised on scipy."""
+    sol = solve_ivp(lambda t, y: variance_ode_rhs(model, (t, *y), lam, sigma2),
+                    (t0, t_end), np.asarray(init, dtype=float), method="DOP853",
+                    t_eval=continuum._output_grid(t0, t_end, h, record_stride),
+                    rtol=continuum.RTOL, atol=continuum.ATOL)
+    if not sol.success:
+        t = float(sol.t[-1])
+        raise DivergenceError(f"variance ODE solver stopped at t = {t}: {sol.message}",
+                              time=t)
+    return np.vstack((sol.t, sol.y))
+
+
+class TestDop853:
+    def test_tableau_is_scipys(self):
+        coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        for ours, theirs in ((continuum._A, coeffs.A), (continuum._C, coeffs.C),
+                             (continuum._B, coeffs.B), (continuum._E3, coeffs.E3),
+                             (continuum._E5, coeffs.E5), (continuum._D, coeffs.D)):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("args", [
+        ("nesterov", 0.1, 10.0, 1e-3, 1.0, 1.0, (1.0, 0.0, 0.0), 100),
+        ("quadratic_forgetting", 0.1, 10.0, 1e-3, 1.0, 1.0, (1.0, 0.0, 0.0), 100),
+        ("nesterov", 0.1, 100.0, 1e-3, 1.0, 1.0, (1.0, 0.0, 0.0), 100),
+        ("quadratic_forgetting", 0.1, 100.0, 1e-3, 1.0, 1.0, (1.0, 0.0, 0.0), 100),
+        ("quadratic_forgetting", 0.1, 2.0, 1e-3, 1.0, 1.0, (1.0, 0.0, 0.0), 1),
+        ("nesterov", 0.5, 3.0, 1e-3, 0.0, 0.0, (1.0, 0.0, 1.0), 100),
+    ], ids=["nesterov-10", "qf-10", "nesterov-100", "qf-100", "qf-every-step",
+            "friction-only"])
+    def test_variance_ode_is_scipys_bit_for_bit(self, solve_ivp, args):
+        states = integrate_variance_ode(*args)
+        expected = scipy_variance_ode(solve_ivp, *args)
+        got = np.vstack([states.t, states.p1, states.p2, states.p3])
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("objective,p,h", [
+        (FIG_QUADRATIC, 2.0, 1e-5),
+        (FIG_QUADRATIC, 2.0, 1e-4),
+        (FIG_QUADRATIC, 1.5, 1e-4),
+        (quadratic_diag([2e-2, 5e-3, 0.3]), 1.5, 1e-3),
+    ], ids=["p2-criterion9", "p2", "p1.5", "p1.5-3d"])
+    def test_warp_gap_is_scipys_bit_for_bit(self, solve_ivp, objective, p, h):
+        got = warp_equivalence_check(objective, p, 4.0, h)
+        assert got.hex() == scipy_warp_gap(solve_ivp, objective, p, 4.0, h).hex()
+
+    def test_non_finite_variance_rhs_raises_at_t0(self):
+        # scipy's solver takes a NaN first step and rejects it forever.
+        with pytest.raises(DivergenceError) as info:
+            integrate_variance_ode("nesterov", 0.1, 1.0, 1e-3, float("nan"), 1.0)
+        assert info.value.time == 0.1
+        assert str(info.value) == ("variance ODE solver stopped at t = 0.1: Required step "
+                                   "size is less than spacing between numbers.")
+
+    def test_overflowing_variance_ode_stops_where_scipys_does(self, solve_ivp):
+        # lam < 0 grows the moments like exp(200 t) until they overflow.
+        args = ("nesterov", 0.1, 100.0, 1e-3, -1e4, 1.0)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as expected:
+            scipy_variance_ode(solve_ivp, *args)
+        with pytest.raises(DivergenceError) as info:
+            integrate_variance_ode(*args)
+        assert str(info.value) == str(expected.value)
+        assert info.value.time == expected.value.time
+        assert 0.1 < info.value.time < 100.0
+
+    def test_overflowing_warp_stops_where_scipys_does(self, solve_ivp):
+        # X'' = exp(X) (times the memory coefficient) blows up in finite time.
+        class Runaway:
+            dim = 1
+
+            @staticmethod
+            def grad(x):
+                return -np.exp(x)
+
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as expected:
+            scipy_warp_gap(solve_ivp, Runaway, 2.0, 4.0, 1e-4)
+        with pytest.raises(DivergenceError) as info:
+            warp_equivalence_check(Runaway, 2.0, 4.0, 1e-4)
+        assert str(info.value) == str(expected.value)
+        assert info.value.time == expected.value.time
+        assert str(info.value).startswith("mg path stopped at t = 0.61")
+
+
+def test_cli_solvers_import_no_scipy(tmp_path):
+    """variance-ode and warp run on numpy alone, so scipy's ~45 MB of
+    modules stay out of the process."""
+    code = (
+        "import sys\n"
+        "from memgrad import cli\n"
+        "assert cli.main(['variance-ode', '--model', 'nesterov', '--t-end', '2', "
+        f"'--out', {str(tmp_path)!r}]) == 0\n"
+        "assert cli.main(['warp', '--t-end', '1', '--h', '1e-3']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
