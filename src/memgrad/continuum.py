@@ -12,17 +12,19 @@ Three phase-space systems over (X, V):
 Friction and gradient scale depend on t alone, so :func:`substep_schedule`
 walks a model's time grid once: coefficients with a 1/t blow-up make the
 start stiff, and each substep is capped at ``SUBSTEP_CAP`` / friction until
-the requested step h is safe.  One Euler-Maruyama loop steps a batch of
-paths, shape (n, d), over that schedule; :func:`integrate_paths`,
-:func:`integrate_trajectory` (a batch of one) and :func:`sample_paths` all
-run it.  With constant (state-independent) volatility the diffusion
-coefficient has zero derivative, so for the systems reproduced here
-Euler-Maruyama coincides with Milstein.  The deterministic second-moment
-ODEs and time warp are solved by :func:`_dop853`, an in-tree port of scipy's
-adaptive DOP853 (``scipy/integrate/_ivp/rk.py`` and ``common.py``, BSD-3)
-that takes scipy's steps and reproduces its outputs bit for bit, with the
-Dormand-Prince 8(5,3) coefficients of Hairer, Norsett & Wanner.  It
-evaluates the requested outputs as it steps and keeps no dense solution.
+the requested step h is safe.  :func:`integrate_paths`, the one
+Euler-Maruyama loop, steps a batch of paths, shape (n, d), over that
+schedule to the target times it is given (:func:`grid_times` builds the
+h-grid) and returns arrays with each path's divergence target;
+:func:`sample_paths` wraps it and raises on divergence.  With constant
+(state-independent) volatility the diffusion coefficient has zero
+derivative, so for the systems reproduced here Euler-Maruyama coincides
+with Milstein.  The deterministic second-moment ODEs and time warp are
+solved by :func:`_dop853`, an in-tree port of scipy's adaptive DOP853
+(``scipy/integrate/_ivp/rk.py`` and ``common.py``, BSD-3) that takes scipy's
+steps and reproduces its outputs bit for bit, with the Dormand-Prince
+8(5,3) coefficients of Hairer, Norsett & Wanner.  It evaluates the
+requested outputs as it steps and keeps no dense solution.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "PhaseState",
     "MODELS",
     "SdeSpec",
-    "TrajectoryResult",
     "DivergenceError",
     "nesterov_sde",
     "memory_sde",
@@ -49,8 +50,8 @@ __all__ = [
     "semi_implicit_euler_step",
     "Schedule",
     "substep_schedule",
+    "grid_times",
     "integrate_paths",
-    "integrate_trajectory",
     "sample_paths",
     "ito_isometry_mc",
     "variance_ode_rhs",
@@ -236,26 +237,39 @@ def substep_schedule(spec: SdeSpec, targets, h: float) -> Schedule:
                     np.array(ends), np.array(times))
 
 
-def _euler_maruyama(spec: SdeSpec, sched: Schedule, x0, v0, n: int, noise, record):
-    """Step n paths from (x0, v0) over the schedule as (n, d) states.
+def grid_times(spec: SdeSpec, t_end: float, h: float) -> list[float]:
+    """The grid eps_start + j h, j = 1, 2, ..., whose last point is t_end."""
+    if t_end <= spec.eps_start:
+        raise ValueError("t_end must exceed eps_start")
+    n_steps = max(1, int(round((t_end - spec.eps_start) / h)))
+    return [spec.eps_start + j * h for j in range(1, n_steps)] + [t_end]
 
-    ``noise()`` gives each substep's (n, d) standard-normal block, a new
-    array each call, which the update overwrites; a noisy model needs it.
-    Every path is checked at every target, and one that is not finite is
-    frozen there.  Returns X and V at the start and at each target flagged
-    in ``record`` (NaN once a path has diverged), and each path's 1-based
-    divergence target, 0 if none.
+
+def integrate_paths(spec: SdeSpec, x0, v0, targets, h: float, noise=None,
+                    n_paths: int = 1, record_stride: int = 1):
+    """Step ``n_paths`` paths together from (x0, v0, eps_start) through the
+    increasing target times, as (n_paths, d) states over their schedule.
+
+    ``noise()`` gives each substep's (n_paths, d) standard-normal block, a
+    new array each call, which the update overwrites; a noisy model needs
+    it.  Every path is checked at every target, and one that is not finite
+    is frozen there.  Returns (times, X, V, diverged): the start and every
+    ``record_stride``-th target and the last; X and V there, of shape
+    (len(times), n_paths, d) and NaN from a path's divergence on; and each
+    path's 1-based divergence target, 0 if none.
     """
     if spec.is_deterministic():
         noise = None
     elif noise is None:
         raise ValueError("a noisy model needs an RNG")
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (n, np.size(x0))).copy()
+    sched = substep_schedule(spec, targets, h)
+    record = [j % record_stride == 0 or j == len(targets) for j in range(1, len(targets) + 1)]
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, np.size(x0))).copy()
     v = np.broadcast_to(np.asarray(v0, dtype=float), x.shape).copy()
     xs = np.full((1 + sum(record),) + x.shape, np.nan)
     vs = np.full_like(xs, np.nan)
     xs[0], vs[0] = x, v
-    diverged, live, k = np.zeros(n, dtype=int), np.arange(n), 1
+    diverged, live, k = np.zeros(n_paths, dtype=int), np.arange(n_paths), 1
     steps = zip(sched.h.tolist(), sched.friction.tolist(), sched.gscale.tolist())
     counts = np.diff(sched.ends, prepend=0).tolist()
     # Overflow on the way to divergence is expected; the check flags it.
@@ -263,7 +277,7 @@ def _euler_maruyama(spec: SdeSpec, sched: Schedule, x0, v0, n: int, noise, recor
         for j, (count, keep) in enumerate(zip(counts, record), 1):
             for h, fric, gscale in itertools.islice(steps, count):
                 xi = None if noise is None else noise()
-                xi = xi if xi is None or live.size == n else xi[live]
+                xi = xi if xi is None or live.size == n_paths else xi[live]
                 _em_update(spec, x, v, h, fric, gscale, xi)
             if not (np.isfinite(x).all() and np.isfinite(v).all()):
                 ok = np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1)
@@ -273,76 +287,27 @@ def _euler_maruyama(spec: SdeSpec, sched: Schedule, x0, v0, n: int, noise, recor
                 xs[k, live], vs[k, live], k = x, v, k + 1
             if not live.size:
                 break
-    return xs, vs, diverged
-
-
-@dataclass
-class TrajectoryResult:
-    """Recorded (t, X, V) samples plus a terminal status."""
-
-    times: np.ndarray
-    positions: np.ndarray
-    velocities: np.ndarray
-    status: str = "completed"
-    diverged_at: float | None = None  # first non-finite time
-    diverged_step: int | None = None  # its grid step j, t ~ eps_start + j h
-
-
-def integrate_paths(spec: SdeSpec, x0, v0, t_end: float, h: float, noise=None,
-                    n_paths: int = 1, record_stride: int = 1) -> list[TrajectoryResult]:
-    """Integrate ``n_paths`` paths together from (x0, v0, eps_start) to t_end.
-
-    The grid is eps_start + j h, ending at t_end.  ``noise()`` gives the
-    next substep's (n_paths, d) standard-normal block, a new array each
-    call.  Each path is recorded at every ``record_stride``-th grid point
-    and the last; one whose state is not finite at grid step j stops there
-    and reports j and its time instead of propagating NaNs.
-    """
-    if t_end <= spec.eps_start:
-        raise ValueError("t_end must exceed eps_start")
-    n_steps = max(1, int(round((t_end - spec.eps_start) / h)))
-    targets = [spec.eps_start + j * h for j in range(1, n_steps)] + [t_end]
-    record = [j % record_stride == 0 or j == n_steps for j in range(1, n_steps + 1)]
-    sched = substep_schedule(spec, targets, h)
-    xs, vs, diverged = _euler_maruyama(spec, sched, x0, v0, n_paths, noise, record)
-    kept = np.flatnonzero(record)
-    times = np.concatenate(([spec.eps_start], sched.times[kept]))
-    out = []
-    for r, j in enumerate(diverged.tolist()):
-        n = 1 + int(np.searchsorted(kept, j - 1)) if j else len(times)
-        out.append(TrajectoryResult(times[:n], xs[:n, r], vs[:n, r],
-                                    "diverged" if j else "completed",
-                                    float(sched.times[j - 1]) if j else None, j or None))
-    return out
-
-
-def integrate_trajectory(spec: SdeSpec, x0, v0, t_end: float, h: float, rng=None,
-                         record_stride: int = 1) -> TrajectoryResult:
-    """:func:`integrate_paths` for one path, drawing its noise from ``rng``."""
-    noise = None if rng is None else functools.partial(rng.standard_normal, (1, np.size(x0)))
-    return integrate_paths(spec, x0, v0, t_end, h, noise, 1, record_stride)[0]
+    times = np.concatenate(([spec.eps_start], np.compress(record, sched.times)))
+    return times, xs, vs, diverged
 
 
 def sample_paths(spec: SdeSpec, x0, v0, record_times, h: float, n_paths: int,
                  rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate an ensemble and record (X, V) at the requested times.
-
-    The paths step together through the record times, drawing one
+    """:func:`integrate_paths` through the sorted record times, drawing one
     (n_paths, d) block from ``rng`` per substep; the gradient field must
     broadcast over the path axis.  Returns (times, X, V) with X, V of shape
-    (len(record_times), n_paths, d); a non-finite state raises
-    DivergenceError.
+    (len(record_times), n_paths, d), or raises DivergenceError at the first
+    target where a path is not finite.
     """
     record_times = np.sort(np.asarray(record_times, dtype=float))
     if record_times[0] <= spec.eps_start:
         raise ValueError("record times must exceed eps_start")
     noise = None if rng is None else functools.partial(rng.standard_normal,
                                                        (n_paths, np.size(x0)))
-    sched = substep_schedule(spec, record_times.tolist(), h)
-    xs, vs, diverged = _euler_maruyama(spec, sched, x0, v0, n_paths, noise,
-                                       [True] * len(record_times))
+    times, xs, vs, diverged = integrate_paths(spec, x0, v0, record_times.tolist(), h,
+                                              noise, n_paths)
     if diverged.any():
-        t = float(sched.times[diverged[diverged > 0].min() - 1])
+        t = float(times[diverged[diverged > 0].min()])
         raise DivergenceError(f"non-finite state at t = {t}", time=t)
     return record_times, xs[1:], vs[1:]
 

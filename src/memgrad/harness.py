@@ -135,13 +135,16 @@ class ExperimentConfig:
         """Reject a config that would fail or silently ignore part of itself.
 
         Every section is checked against its key set in ``SECTION_KEYS``,
-        and the run's counts, step, times and start point against their
-        ranges.  A problem's params are bound against its builder's
-        signature; a method's params go through one dry step of its stepper
-        from x0 with a zero gradient, or build its SDE model, so the
-        function's own checks reject a bad value.  The ValueError names the
+        and the master seed and the run's counts, step, times and start
+        point against their ranges.  A problem's params are bound against
+        its builder's signature; a method's params go through one dry step
+        of its stepper from x0 with a zero gradient, or build its SDE model,
+        so the function's own checks reject a bad value.  The ValueError names the
         section or method label and the offending key or value.
         """
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed: need 0 <= master_seed < 2**64, "
+                             f"got {self.master_seed!r}")
         kind = self.run.get("kind", "optimize")
         if kind not in ("optimize", "simulate"):
             raise ValueError(f"unknown run kind {kind!r}")
@@ -243,6 +246,9 @@ def _checked_run(run: dict, kind: str) -> np.ndarray:
             raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
     if kind == "simulate":
         h, t_end, eps_start = run["h"], run["t_end"], run.get("eps_start", EPS_START)
+        if not np.isfinite([h, t_end, eps_start]).all():
+            raise ValueError(f"need finite h, t_end and eps_start, got h={h!r}, "
+                             f"t_end={t_end!r}, eps_start={eps_start!r}")
         if not h > 0:
             raise ValueError(f"h must be > 0, got {h!r}")
         if not t_end > eps_start > 0:
@@ -510,21 +516,23 @@ def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, see
     v0 = np.asarray(run_cfg.get("v0", np.zeros_like(x0)), dtype=float)
     h = float(run_cfg["h"])
     draw = _row_noise([_run_rng(master_seed, run_id) for run_id in run_ids], x0.size)
-    results = continuum.integrate_paths(
-        spec, x0, v0, float(run_cfg["t_end"]), h, draw, len(run_ids),
-        record_stride=int(run_cfg.get("record_stride", 1)),
+    times, positions, _, diverged = continuum.integrate_paths(
+        spec, x0, v0, continuum.grid_times(spec, float(run_cfg["t_end"]), h), h, draw,
+        len(run_ids), record_stride=int(run_cfg.get("record_stride", 1)),
     )
     traces = []
-    for run_id, seed, result in zip(run_ids, seeds, results):
-        xs = result.positions
+    for run_id, seed, xs, j in zip(run_ids, seeds, positions.swapaxes(0, 1),
+                                   diverged.tolist()):
+        finite = np.isfinite(xs).all(axis=-1)  # the records before any divergence
+        xs = xs[finite]
         with np.errstate(over="ignore", invalid="ignore"):
             step_norms = np.linalg.norm(np.diff(xs, axis=0, prepend=xs[:1]), axis=-1)
-        records, stop = _records(obj, range(len(xs)), result.times, xs, step_norms)
+        records, stop = _records(obj, range(len(xs)), times[finite], xs, step_norms)
+        status, step = ("diverged", j) if j else ("completed", None)
         if stop is not None:  # every record precedes an integration failure
-            result.status = "diverged"
-            result.diverged_step = round((result.times[stop] - spec.eps_start) / h)
+            status, step = "diverged", round((times[stop] - spec.eps_start) / h)
         traces.append(Trace(run_id=run_id, method=label, seed=seed, records=records,
-                            status=result.status, diverged_at=result.diverged_step))
+                            status=status, diverged_at=step))
     return traces
 
 

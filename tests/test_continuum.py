@@ -1,11 +1,13 @@
 """Phase-space integrators, velocity-noise laws, and time warps."""
 
+import functools
 import itertools
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from memgrad.continuum import (
     DivergenceError,
     PhaseState,
     SdeSpec,
+    grid_times,
     hb_sde,
     integrate_paths,
-    integrate_trajectory,
     integrate_variance_ode,
     ito_isometry_mc,
     memory_sde,
@@ -57,7 +59,7 @@ class TestSpecValidation:
     def test_noisy_run_needs_rng(self):
         spec = nesterov_sde(lambda x: x, 1, sigma=1.0)
         with pytest.raises(ValueError):
-            integrate_trajectory(spec, [1.0], [0.0], 1.0, 1e-2)
+            integrate_paths(spec, [1.0], [0.0], grid_times(spec, 1.0, 1e-2), 1e-2)
 
     def test_model_coefficients(self):
         mg = memory_sde(lambda x: x, 1, MemoryFunction.quadratic())
@@ -108,13 +110,14 @@ class TestSdeStep:
         mg = memory_sde(q.grad, 2, MemoryFunction.quadratic(), eps_start=t)
         x, v = np.array([1.0, 1.0]), np.array([0.1, -0.2])
         rng = np.random.default_rng(0)
-        [stepped] = integrate_paths(mg, x, v, t + h, h, lambda: rng.standard_normal((1, 2)))
-        assert stepped.times.tolist() == [t, t + h]
+        times, xs, vs, _ = integrate_paths(mg, x, v, grid_times(mg, t + h, h), h,
+                                           lambda: rng.standard_normal((1, 2)))
+        assert times.tolist() == [t, t + h]
         c = 3.0 / 0.5
         x_manual = x + h * v
         v_manual = v + h * (-c * v - c * q.grad(x))
-        np.testing.assert_array_equal(stepped.positions[-1], x_manual)
-        np.testing.assert_array_equal(stepped.velocities[-1], v_manual)
+        np.testing.assert_array_equal(xs[-1, 0], x_manual)
+        np.testing.assert_array_equal(vs[-1, 0], v_manual)
 
     def test_noise_free_independent_of_seed(self):
         q = FIG_QUADRATIC
@@ -122,13 +125,14 @@ class TestSdeStep:
 
         def run(seed):
             rng = np.random.default_rng(seed)
-            return integrate_paths(mg, [1.0, 1.0], np.zeros(2), 1.0 + 1e-3, 1e-3,
-                                   lambda: rng.standard_normal((1, 2)))[0]
+            return integrate_paths(mg, [1.0, 1.0], np.zeros(2),
+                                   grid_times(mg, 1.0 + 1e-3, 1e-3), 1e-3,
+                                   lambda: rng.standard_normal((1, 2)))
 
         a, b = run(1), run(2)
-        assert a.times.size == b.times.size == 2
-        np.testing.assert_array_equal(a.positions, b.positions)
-        np.testing.assert_array_equal(a.velocities, b.velocities)
+        assert a[0].size == b[0].size == 2
+        for got, want in zip(a, b):
+            np.testing.assert_array_equal(got, want)
 
 
 def out_of_place_paths(spec, sched, x0, v0, n, noise):
@@ -161,6 +165,78 @@ def repulsive_cubic(x):
     return -(x**3)
 
 
+# The entry points integrate_paths replaced, kept as its reference: per-path
+# results on an h-grid, a batch of one, and record times that raise on
+# divergence, over the out-of-place loop above.
+
+class TrajectoryResult(NamedTuple):
+    """One path's recorded (t, X, V), up to its divergence, and its status."""
+
+    times: np.ndarray
+    positions: np.ndarray
+    velocities: np.ndarray
+    status: str = "completed"
+    diverged_at: float | None = None  # the time reached at its divergence target
+    diverged_step: int | None = None  # that target's grid step j, t ~ eps_start + j h
+
+
+def reference_euler_maruyama(spec, sched, x0, v0, n, noise, record):
+    """X and V at the start and at each target flagged in ``record`` (NaN once
+    a path has diverged), and each path's 1-based divergence target, 0 if none."""
+    if spec.is_deterministic():
+        noise = None
+    elif noise is None:
+        raise ValueError("a noisy model needs an RNG")
+    xs, vs = out_of_place_paths(spec, sched, x0, v0, n, noise)
+    bad = ~np.isfinite(xs).all(axis=-1)
+    rows = np.concatenate(([True], record))
+    return xs[rows], vs[rows], np.where(bad.any(axis=0), bad.argmax(axis=0), 0)
+
+
+def reference_integrate_paths(spec, x0, v0, t_end, h, noise=None, n_paths=1,
+                              record_stride=1):
+    """Each path's TrajectoryResult on the grid eps_start + j h ending at t_end,
+    recorded at every ``record_stride``-th grid point and the last."""
+    if t_end <= spec.eps_start:
+        raise ValueError("t_end must exceed eps_start")
+    n_steps = max(1, int(round((t_end - spec.eps_start) / h)))
+    targets = [spec.eps_start + j * h for j in range(1, n_steps)] + [t_end]
+    record = [j % record_stride == 0 or j == n_steps for j in range(1, n_steps + 1)]
+    sched = substep_schedule(spec, targets, h)
+    xs, vs, diverged = reference_euler_maruyama(spec, sched, x0, v0, n_paths, noise, record)
+    kept = np.flatnonzero(record)
+    times = np.concatenate(([spec.eps_start], sched.times[kept]))
+    out = []
+    for r, j in enumerate(diverged.tolist()):
+        n = 1 + int(np.searchsorted(kept, j - 1)) if j else len(times)
+        out.append(TrajectoryResult(times[:n], xs[:n, r], vs[:n, r],
+                                    "diverged" if j else "completed",
+                                    float(sched.times[j - 1]) if j else None, j or None))
+    return out
+
+
+def reference_integrate_trajectory(spec, x0, v0, t_end, h, rng=None, record_stride=1):
+    """reference_integrate_paths for one path, drawing its noise from ``rng``."""
+    noise = None if rng is None else functools.partial(rng.standard_normal, (1, np.size(x0)))
+    return reference_integrate_paths(spec, x0, v0, t_end, h, noise, 1, record_stride)[0]
+
+
+def reference_sample_paths(spec, x0, v0, record_times, h, n_paths, rng):
+    """(times, X, V) at the sorted record times; DivergenceError if a path diverged."""
+    record_times = np.sort(np.asarray(record_times, dtype=float))
+    if record_times[0] <= spec.eps_start:
+        raise ValueError("record times must exceed eps_start")
+    noise = None if rng is None else functools.partial(rng.standard_normal,
+                                                       (n_paths, np.size(x0)))
+    sched = substep_schedule(spec, record_times.tolist(), h)
+    xs, vs, diverged = reference_euler_maruyama(spec, sched, x0, v0, n_paths, noise,
+                                                [True] * len(record_times))
+    if diverged.any():
+        t = float(sched.times[diverged[diverged > 0].min() - 1])
+        raise DivergenceError(f"non-finite state at t = {t}", time=t)
+    return record_times, xs[1:], vs[1:]
+
+
 class TestInPlaceUpdate:
     """The in-place Euler-Maruyama loop against the same loop built from new
     arrays: every recorded state bit-identical, diverging paths included."""
@@ -184,8 +260,7 @@ class TestInPlaceUpdate:
             rng = np.random.default_rng(5)
             return None if spec.is_deterministic() else lambda: rng.standard_normal((n, 2))
 
-        xs, vs, diverged = continuum._euler_maruyama(spec, sched, x0, v0, n, draw(),
-                                                     [True] * targets.size)
+        _, xs, vs, diverged = integrate_paths(spec, x0, v0, targets.tolist(), h, draw(), n)
         want_xs, want_vs = out_of_place_paths(spec, sched, x0, v0, n, draw())
         np.testing.assert_array_equal(xs, want_xs)
         np.testing.assert_array_equal(vs, want_vs)
@@ -196,38 +271,129 @@ class TestInPlaceUpdate:
         spec = memory_sde(lambda x: field, 2, MemoryFunction.quadratic(), sigma=np.eye(2),
                           eps_start=0.5)  # a gradient scale other than 1
         rng = np.random.default_rng(0)
-        integrate_paths(spec, x0, v0, 1.0, 0.01, lambda: rng.standard_normal((3, 2)), 3)
+        integrate_paths(spec, x0, v0, grid_times(spec, 1.0, 0.01), 0.01,
+                        lambda: rng.standard_normal((3, 2)), 3)
         assert field.tolist() == [1.0, -2.0]
         assert x0.tolist() == [0.5, 0.5] and v0.tolist() == [0.1, 0.2]
         assert spec.sigma.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def noisy_specs(grad=FIG_QUADRATIC.grad):
+    """Every model, mg under four memories, with noise and a stiff start."""
+    mg = functools.partial(memory_sde, grad, 2, sigma=0.3, eps_start=1e-3)
+    return {
+        "mg-polynomial": mg(MemoryFunction.polynomial(2.0)),
+        "mg-quadratic": mg(MemoryFunction.quadratic()),
+        "mg-exponential": mg(MemoryFunction.exponential(1.0)),
+        "mg-constant": mg(MemoryFunction.constant()),
+        "nesterov": nesterov_sde(grad, 2, sigma=0.3, eps_start=1e-3),
+        "hb_ode": hb_sde(grad, 2, viscosity=0.7, sigma=[[0.3, 0.0], [0.1, 0.2]],
+                         eps_start=1e-3),
+    }
+
+
+def assert_same_paths(got, want):
+    """integrate_paths' arrays hold each reference result's records, then NaN."""
+    times, xs, vs, diverged = got
+    assert diverged.tolist() == [res.diverged_step or 0 for res in want]
+    for res in want:
+        assert res.status == ("diverged" if res.diverged_step else "completed")
+        np.testing.assert_array_equal(times[:len(res.times)], res.times)
+    for arrays, field in ((xs, "positions"), (vs, "velocities")):
+        padded = [np.concatenate([getattr(res, field),
+                                  np.full((len(times) - len(res.times), 2), np.nan)])
+                  for res in want]
+        assert np.array_equal(arrays, np.stack(padded, axis=1), equal_nan=True)
+
+
+def draws(seed, n):
+    rng = np.random.default_rng(seed)
+    return lambda: rng.standard_normal((n, 2))
+
+
+class TestOneEntryPoint:
+    """integrate_paths on grid_times, and sample_paths, give the bits of the
+    entry points they replaced, diverging paths included."""
+
+    X0, V0 = [1.0, -1.0], [0.0, 0.5]
+
+    @pytest.mark.parametrize("stride", [1, 7, 100])
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    @pytest.mark.parametrize("name", sorted(noisy_specs()))
+    def test_matches_the_per_path_results(self, name, n_paths, stride):
+        spec = noisy_specs()[name]
+        t_end, h = 2.5 + 1e-3, 1e-2  # 250 grid steps, which no stride above divides
+        got = integrate_paths(spec, self.X0, self.V0, grid_times(spec, t_end, h), h,
+                              draws(11, n_paths), n_paths, stride)
+        assert_same_paths(got, reference_integrate_paths(
+            spec, self.X0, self.V0, t_end, h, draws(11, n_paths), n_paths, stride))
+        if n_paths == 1:
+            assert_same_paths(got, [reference_integrate_trajectory(
+                spec, self.X0, self.V0, t_end, h, np.random.default_rng(11), stride)])
+
+    @pytest.mark.parametrize("stride", [1, 7, 100])
+    def test_some_paths_of_a_batch_diverge(self, stride):
+        spec = hb_sde(repulsive_cubic, 2, viscosity=0.5, sigma=1.0)
+        n, t_end, h = 16, 3.3, 0.05  # 66 grid steps
+        got = integrate_paths(spec, [0.3, -0.3], [0.0, 0.0], grid_times(spec, t_end, h), h,
+                              draws(5, n), n, stride)
+        assert 0 < np.count_nonzero(got[3]) < n
+        assert_same_paths(got, reference_integrate_paths(
+            spec, [0.3, -0.3], [0.0, 0.0], t_end, h, draws(5, n), n, stride))
+
+    @pytest.mark.parametrize("name", sorted(noisy_specs()))
+    def test_sample_paths_matches(self, name):
+        spec, times = noisy_specs()[name], [2.0, 0.5, 1.3]
+        got = sample_paths(spec, self.X0, self.V0, times, 1e-2, 3, np.random.default_rng(5))
+        want = reference_sample_paths(spec, self.X0, self.V0, times, 1e-2, 3,
+                                      np.random.default_rng(5))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_sample_paths_raises_where_it_did(self):
+        spec = hb_sde(repulsive_cubic, 2, viscosity=0.5, sigma=1.0)
+        times = np.arange(1, 121) * 0.05 + spec.eps_start
+        with pytest.raises(DivergenceError) as want:
+            reference_sample_paths(spec, [0.3, -0.3], [0.0, 0.0], times, 0.05, 16,
+                                   np.random.default_rng(5))
+        with pytest.raises(DivergenceError) as got:
+            sample_paths(spec, [0.3, -0.3], [0.0, 0.0], times, 0.05, 16,
+                         np.random.default_rng(5))
+        assert (got.value.time, str(got.value)) == (want.value.time, str(want.value))
+
+
+def one_path(spec, x0, v0, t_end, h, record_stride=1):
+    """Times, X, V and the divergence target of one noise-free path on the h-grid."""
+    times, xs, vs, diverged = integrate_paths(spec, x0, v0, grid_times(spec, t_end, h), h,
+                                              record_stride=record_stride)
+    return times, xs[:, 0], vs[:, 0], int(diverged[0])
 
 
 class TestTrajectories:
     def test_quadratic_forgetting_velocity_settles_on_gradient(self):
         obj = constant_field([1.0])
         spec = memory_sde(obj.grad, 1, MemoryFunction.quadratic())
-        res = integrate_trajectory(spec, [0.0], [0.0], 10.0, 1e-3, record_stride=100)
-        assert res.status == "completed"
-        mask = res.times >= 5.0
-        assert np.max(np.abs(res.velocities[mask, 0] + 1.0)) < 1e-2
+        times, _, vs, diverged = one_path(spec, [0.0], [0.0], 10.0, 1e-3, record_stride=100)
+        assert diverged == 0
+        mask = times >= 5.0
+        assert np.max(np.abs(vs[mask, 0] + 1.0)) < 1e-2
 
     def test_nesterov_velocity_amplifies_linearly(self):
         obj = constant_field([1.0])
         spec = nesterov_sde(obj.grad, 1)
-        res = integrate_trajectory(spec, [0.0], [0.0], 8.0, 1e-3, record_stride=100)
-        mask = res.times >= 2.0
-        gaps = np.abs(res.velocities[mask, 0] + res.times[mask] / 4.0)
-        assert np.all(gaps < 1e-2 * res.times[mask])
+        times, _, vs, _ = one_path(spec, [0.0], [0.0], 8.0, 1e-3, record_stride=100)
+        mask = times >= 2.0
+        gaps = np.abs(vs[mask, 0] + times[mask] / 4.0)
+        assert np.all(gaps < 1e-2 * times[mask])
 
     def test_eps_start_insensitive(self):
         q = FIG_QUADRATIC
         finals = []
         for eps in (1e-12, 1e-10):
             spec = memory_sde(q.grad, 2, MemoryFunction.quadratic(), eps_start=eps)
-            res = integrate_trajectory(
-                spec, [1.0, 1.0], [0.0, 0.0], 5.0, 1e-3, record_stride=10**9
-            )
-            finals.append(np.concatenate([res.positions[-1], res.velocities[-1]]))
+            _, xs, vs, _ = one_path(spec, [1.0, 1.0], [0.0, 0.0], 5.0, 1e-3,
+                                    record_stride=10**9)
+            finals.append(np.concatenate([xs[-1], vs[-1]]))
         np.testing.assert_allclose(finals[0], finals[1], atol=1e-6)
 
     def test_bounded_branch_of_singular_start(self):
@@ -235,9 +401,9 @@ class TestTrajectories:
         # bounded solution X(t) = X(eps) - (t - eps) + O(eps).
         obj = constant_field([1.0])
         spec = memory_sde(obj.grad, 1, MemoryFunction.quadratic())
-        res = integrate_trajectory(spec, [0.0], [0.0], 10.0, 1e-3, record_stride=10)
-        mask = res.times >= 1.0
-        drift = res.positions[mask, 0] - (0.0 - (res.times[mask] - spec.eps_start))
+        times, xs, _, _ = one_path(spec, [0.0], [0.0], 10.0, 1e-3, record_stride=10)
+        mask = times >= 1.0
+        drift = xs[mask, 0] - (0.0 - (times[mask] - spec.eps_start))
         assert np.max(np.abs(drift)) < 1e-2
 
     def test_schedule_caps_the_stiff_start(self):
@@ -259,42 +425,41 @@ class TestTrajectories:
 
     def test_divergence_is_flagged_not_propagated(self):
         # Anti-restoring force with no friction grows like e^t and must
-        # overflow into a flag, not NaN output.
+        # overflow into a flag: the path stops there, NaN from that target on.
         spec = hb_sde(lambda x: -x, 1, viscosity=0.0)
-        res = integrate_trajectory(spec, [1.0], [0.0], 2000.0, 1.0)
-        assert res.status == "diverged"
-        assert res.diverged_at is not None
-        assert np.all(np.isfinite(res.positions))
+        times, xs, vs, diverged = one_path(spec, [1.0], [0.0], 2000.0, 1.0)
+        assert diverged > 0
+        assert np.all(np.isfinite(xs[:diverged])) and np.all(np.isnan(xs[diverged:]))
+        assert np.all(np.isnan(vs[diverged:]))
 
     def test_exponential_memory_approaches_gradient_flow(self):
         q = FIG_QUADRATIC
         spec = memory_sde(q.grad, 2, MemoryFunction.exponential(50.0))
-        res = integrate_trajectory(
-            spec, [1.0, 1.0], [0.0, 0.0], 5.0, 1e-3, record_stride=100
-        )
+        times, xs, _, _ = one_path(spec, [1.0, 1.0], [0.0, 0.0], 5.0, 1e-3,
+                                   record_stride=100)
         x = np.array([1.0, 1.0])
         t = spec.eps_start
         oracle = [x.copy()]
-        for target in res.times[1:]:
+        for target in times[1:]:
             while t < target - 1e-12:
                 h = min(1e-3, target - t)
                 x = x - h * q.grad(x)
                 t += h
             oracle.append(x.copy())
-        gap = np.max(np.linalg.norm(res.positions - np.asarray(oracle), axis=1))
+        gap = np.max(np.linalg.norm(xs - np.asarray(oracle), axis=1))
         assert gap < 5e-2
 
     def test_ensemble_matches_single_path(self):
         q = FIG_QUADRATIC
         spec = memory_sde(q.grad, 2, MemoryFunction.quadratic())
-        res = integrate_trajectory(spec, [1.0, 1.0], [0.0, 0.0], 2.0, 1e-3,
-                                   record_stride=500)
+        record_times, x1, v1, _ = one_path(spec, [1.0, 1.0], [0.0, 0.0], 2.0, 1e-3,
+                                           record_stride=500)
         times, xs, vs = sample_paths(
-            spec, [1.0, 1.0], [0.0, 0.0], res.times[1:], 1e-3, n_paths=3, rng=None
+            spec, [1.0, 1.0], [0.0, 0.0], record_times[1:], 1e-3, n_paths=3, rng=None
             if spec.is_deterministic() else np.random.default_rng(0),
         )
-        np.testing.assert_allclose(xs[:, 0, :], res.positions[1:], atol=1e-9)
-        np.testing.assert_allclose(vs[:, 2, :], res.velocities[1:], atol=1e-9)
+        np.testing.assert_allclose(xs[:, 0, :], x1[1:], atol=1e-9)
+        np.testing.assert_allclose(vs[:, 2, :], v1[1:], atol=1e-9)
 
 
 class TestVelocityNoiseLaws:

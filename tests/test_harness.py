@@ -220,6 +220,14 @@ class TestConfig:
                    run=dict(SIMULATE_RUN, eps_start=-1)), "run"),
         (small_raw(methods=[{"name": "nesterov", "params": {}}],
                    run=dict(SIMULATE_RUN, eps_start=2.0)), "run"),
+        (small_raw(methods=[{"name": "nesterov", "params": {}}],
+                   run=dict(SIMULATE_RUN, t_end=math.inf)), "run"),
+        (small_raw(methods=[{"name": "nesterov", "params": {}}],
+                   run=dict(SIMULATE_RUN, h=math.inf)), "run"),
+        (small_raw(methods=[{"name": "nesterov", "params": {}}],
+                   run=dict(SIMULATE_RUN, eps_start=math.nan)), "run"),
+        (small_raw(master_seed=-1), "master_seed"),
+        (small_raw(master_seed=2**64), "master_seed"),
         (small_raw(methods=[{"name": "sgd", "params": {"eta": math.nan}}]),
          "method sgd(eta=nan)"),
         (small_raw(methods=[{"name": "adam", "params": {"eta": math.inf}}]),
@@ -227,11 +235,24 @@ class TestConfig:
     ], ids=["hb-beta-1.5", "mg-instantaneous", "record_stride-0", "n_seeds-0",
             "n_seeds-2.5", "iterations--1", "x0-inf", "x0-2d", "v0-length",
             "h-negative", "eps_start-negative", "t_end-before-eps_start",
+            "t_end-inf", "h-inf", "eps_start-nan", "master_seed--1", "master_seed-2**64",
             "sgd-eta-nan", "adam-eta-inf"])
     def test_bad_values_rejected_at_load(self, raw, where):
         with pytest.raises(ValueError) as err:
             ExperimentConfig.from_dict(raw)
         assert str(err.value).startswith(f"{where}: ")
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_master_seeds_at_the_range_ends_load(self, seed):
+        assert small_config(master_seed=seed).master_seed == seed
+
+    def test_seed_override_out_of_range_fails_before_any_run(self, monkeypatch):
+        cfg = small_config()
+        cfg.master_seed = 2**64  # as cli's --seed sets it, after load
+        monkeypatch.setattr(harness, "_execute_optimize",
+                            lambda *args: pytest.fail("a run started"))
+        with pytest.raises(ValueError, match=r"^master_seed: "):
+            run_experiment(cfg)
 
     def test_x0_of_another_dimension_fails_before_any_run(self, monkeypatch):
         cfg = small_config(run=dict(SMALL["run"], x0=[1.0, 1.0, 1.0]))
@@ -616,6 +637,28 @@ class TestSimulateDivergence:
         assert all(np.isfinite([r.f_gap, r.grad_norm, r.step_norm]).all()
                    for r in trace.records)
 
+
+    def test_integrator_and_record_overflow_in_one_batch(self):
+        # On f = 4 |x|^2 at h = 1, explicit Euler grows the noise about 5x a
+        # step at viscosity -6, and the state is not finite at step 442 or
+        # 443, between stride-500 records.  At viscosity 0 it grows about 3x
+        # a step and stays finite, but the record at step 500 overflows f_gap.
+        cfg = small_config(
+            problem={"name": "quadratic_diag", "params": {"coeffs": [4.0, 4.0]}},
+            methods=[{"name": "hb_ode", "params": {"sigma": 1.0},
+                      "grid": {"viscosity": [0.0, -6.0]}}],
+            run={"kind": "simulate", "t_end": 1001.0, "h": 1.0, "eps_start": 1.0,
+                 "x0": [0.0, 0.0], "n_seeds": 3, "record_stride": 500},
+            master_seed=0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traces = run_experiment(cfg).traces
+        assert [(t.method[-5:], t.seed, t.status_field()) for t in traces] == [
+            ("-6.0)", 0, "diverged@442"), ("-6.0)", 1, "diverged@442"),
+            ("-6.0)", 2, "diverged@443"), ("=0.0)", 0, "diverged@500"),
+            ("=0.0)", 1, "diverged@500"), ("=0.0)", 2, "diverged@500")]
+        assert all(len(t.records) == 1 for t in traces)  # the start alone
 
 class TestSimulateLockstep:
     """All seeds of a simulate method step together; each must match a run

@@ -39,9 +39,10 @@ def noise_free_gap(h):
     coeffs = np.array([2e-2, 5e-3])
     spec = continuum.memory_sde(problems.quadratic_diag(coeffs).grad, 2,
                                 MemoryFunction.quadratic(), sigma=0.0)
-    run, = continuum.integrate_paths(spec, [1.0, 1.0], [0.0, 0.0], 2.0, h)
-    exact = theory.poly_memory_ode_series(3.0, 2.0 * coeffs, run.times, [1.0, 1.0])
-    return np.max(np.abs(run.positions - exact))
+    times, xs, _, _ = continuum.integrate_paths(spec, [1.0, 1.0], [0.0, 0.0],
+                                                continuum.grid_times(spec, 2.0, h), h)
+    exact = theory.poly_memory_ode_series(3.0, 2.0 * coeffs, times, [1.0, 1.0])
+    return np.max(np.abs(xs[:, 0] - exact))
 
 
 def test_noise_free_gap_is_first_order():
