@@ -116,12 +116,8 @@ class SdeSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "hb_ode" and self.viscosity is None:
             raise ValueError("hb_ode needs a viscosity a(t)")
-        if self.model == "mg":
-            if self.memory is None:
-                raise ValueError("mg needs a memory function")
-            if self.memory.kind == "instantaneous":
-                raise ValueError("instantaneous forgetting is first-order gradient "
-                                 "flow, not a phase-space model")
+        if self.model == "mg" and self.memory is None:
+            raise ValueError("mg needs a memory function")
         if not (self.eps_start > 0.0):
             raise ValueError("eps_start must be > 0")
         if self.sigma is not None:

@@ -108,9 +108,6 @@ class ExperimentConfig:
     bounds: list = field(default_factory=list)
     master_seed: int = 0
 
-    def __post_init__(self):
-        self.master_seed = int(self.master_seed)
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
@@ -137,14 +134,16 @@ class ExperimentConfig:
         Every section is checked against its key set in ``SECTION_KEYS``,
         and the master seed and the run's counts, step, times and start
         point against their ranges.  A problem's params are bound against
-        its builder's signature; a method's params go through one dry step
-        of its stepper from x0 with a zero gradient, or build its SDE model,
-        so the function's own checks reject a bad value.  The ValueError names the
-        section or method label and the offending key or value.
+        its builder's signature; a method's params go through ``_dry_run``,
+        and a bound's through one evaluation of its formula, so the
+        function's own checks reject a bad value.  The ValueError names the
+        section, method label or bound and the offending key or value.
         """
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError(f"master_seed: need 0 <= master_seed < 2**64, "
-                             f"got {self.master_seed!r}")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+                or not 0 <= seed < 2**64:
+            raise ValueError(f"master_seed: need an integer 0 <= master_seed < 2**64, "
+                             f"got {seed!r}")
         kind = self.run.get("kind", "optimize")
         if kind not in ("optimize", "simulate"):
             raise ValueError(f"unknown run kind {kind!r}")
@@ -187,20 +186,17 @@ class ExperimentConfig:
                 raise ValueError(f"method {label}: {err}") from None
         for entry in self.bounds:
             _check_keys("bounds", entry, ("kind", "method"))
+            method = entry["method"]
+            where = f"bounds: {entry['kind']} on {method}"
             try:
                 spec = BoundSpec(entry["kind"], entry.get("params", {}))
             except (TypeError, ValueError) as err:
-                raise ValueError(f"bounds: {err}") from None
-            method = entry["method"]
+                raise ValueError(f"{where}: {err}") from None
             if method not in names:
-                raise ValueError(f"bounds: method {method!r} is not one of the "
+                raise ValueError(f"{where}: method {method!r} is not one of the "
                                  f"config's methods {sorted(names)}")
             if names[method] not in BOUND_KINDS[spec.kind].families:
-                raise ValueError(f"bounds: kind {spec.kind!r} does not apply to "
-                                 f"method {method!r}")
-            if spec.kind == "memsgd_discrete" and spec.params["p"] < 2.0:
-                raise ValueError(f"bounds: memsgd_discrete on {method}: p = "
-                                 f"{spec.params['p']!r}, but the rate needs p >= 2")
+                raise ValueError(f"{where}: the kind does not apply to method {method!r}")
 
     def config_hash(self) -> str:
         """Content hash of the canonical serialized config."""
@@ -262,19 +258,22 @@ def _checked_run(run: dict, kind: str) -> np.ndarray:
 
 
 def _dry_run(kind: str, name: str, params: dict, x0: np.ndarray, run: dict) -> None:
-    """One step of the method's stepper from x0 with a zero gradient, after its
-    float params are checked finite, or its SDE model built for x0, so that the
-    function's own checks see the params.  The stepper is unwrapped, so that a
-    traced stepper does not count the dry step."""
+    """The method's SDE model built for x0, its float params checked finite,
+    and one step of its stepper from x0 with a zero gradient or its model's
+    friction evaluated at eps_start, so that the function's own checks see
+    the params.  The stepper is unwrapped, so that a traced stepper does not
+    count the dry step."""
     fn, kwargs = _method_call(kind, name, params)
     fn = inspect.unwrap(fn)
     if kind == "simulate":
-        fn(None, x0.size, eps_start=float(run.get("eps_start", EPS_START)), **kwargs)
-        return
-    for key, value in kwargs.items():
+        spec = fn(None, x0.size, eps_start=float(run.get("eps_start", EPS_START)), **kwargs)
+    for key, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value!r}")
-    fn(optimizers.OptimizerState.initial(x0), np.zeros_like(x0), **kwargs)
+    if kind == "optimize":
+        fn(optimizers.OptimizerState.initial(x0), np.zeros_like(x0), **kwargs)
+    elif not math.isfinite(spec.friction(spec.eps_start)):
+        raise ValueError(f"friction at eps_start = {spec.eps_start!r} is not finite")
 
 
 def _bind(fn, *args, **kwargs) -> None:
@@ -338,19 +337,14 @@ def build_objective(problem_cfg: dict) -> tuple[problems.Objective, problems.Noi
 
 @dataclass
 class Trace:
-    """One run: its records, a RECORD_DTYPE record array in index order."""
+    """One run: its records, a RECORD_DTYPE record array in index order, and
+    its status, ``completed`` or ``diverged@k`` for the step k it diverged at."""
 
     run_id: str
     method: str
     seed: int
     records: np.recarray
     status: str = "completed"
-    diverged_at: int | None = None
-
-    def status_field(self) -> str:
-        if self.status == "completed":
-            return "completed"
-        return f"diverged@{self.diverged_at}"
 
 
 def _rescaled(reduce, rows: np.ndarray) -> np.ndarray:
@@ -465,16 +459,16 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
 
     # Steppers do not check finiteness: the run diverges at the step whose
     # gradient draw or new iterate is not finite.
-    status, diverged_at, overflow = "completed", None, None
+    status, overflow = "completed", None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iterations):
             g = problems.stochastic_gradient(obj, noise, state.x, rng)
             if not np.isfinite(g).all():
-                status, diverged_at = "diverged", k + 1
+                status = f"diverged@{k + 1}"
                 break
             state = stepper(state, g, **params)
             if not np.isfinite(state.x).all():
-                status, diverged_at = "diverged", k + 1
+                status = f"diverged@{k + 1}"
                 break
             if (k + 1) % stride == 0 or k + 1 == iterations:
                 pending.append((k + 1, state.x, float(np.linalg.norm(state.x - state.x_prev))))
@@ -485,10 +479,9 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
     if pending:
         overflow = flush()
     if overflow is not None:
-        status, diverged_at = "diverged", overflow
+        status = f"diverged@{overflow}"
     return Trace(run_id=run_id, method=label, seed=seed,
-                 records=np.concatenate(blocks).view(np.recarray),
-                 status=status, diverged_at=diverged_at)
+                 records=np.concatenate(blocks).view(np.recarray), status=status)
 
 
 # Standard-normal values a simulate batch draws per noise block; bounds memory at large n x d.
@@ -528,11 +521,11 @@ def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, see
         with np.errstate(over="ignore", invalid="ignore"):
             step_norms = np.linalg.norm(np.diff(xs, axis=0, prepend=xs[:1]), axis=-1)
         records, stop = _records(obj, range(len(xs)), times[finite], xs, step_norms)
-        status, step = ("diverged", j) if j else ("completed", None)
+        status = f"diverged@{j}" if j else "completed"
         if stop is not None:  # every record precedes an integration failure
-            status, step = "diverged", round((times[stop] - spec.eps_start) / h)
+            status = f"diverged@{round((times[stop] - spec.eps_start) / h)}"
         traces.append(Trace(run_id=run_id, method=label, seed=seed, records=records,
-                            status=status, diverged_at=step))
+                            status=status))
     return traces
 
 
@@ -573,10 +566,9 @@ class ExperimentResult:
     config: ExperimentConfig
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute every (method x seed) run and aggregate the traces.
 
-    Runs execute in one thread; ``threads`` is accepted and has no effect.
     Optimize runs execute one after another, and the seeds of a simulate
     method are integrated together.  Each run derives its own RNG substream
     from its run id, so the result set does not depend on run order.  A run
@@ -703,14 +695,14 @@ def emit(result: ExperimentResult, out_dir, formats=("csv",)) -> list[Path]:
     if "csv" in formats:
         written.append(write_csv(
             out_dir / "traces.csv", CSV_COLUMNS,
-            (((t.run_id, t.method, t.seed), t.records, (t.status_field(),)) for t in traces)))
+            (((t.run_id, t.method, t.seed), t.records, (t.status,)) for t in traces)))
         written.append(write_csv(
             out_dir / "aggregates.csv", ("method", *AGGREGATE_DTYPE.names),
             (((method,), result.aggregates[method], ())
              for method in sorted(result.aggregates))))
     if "json" in formats:
         runs = [{"run_id": t.run_id, "method": t.method, "seed": t.seed,
-                 "status": t.status_field(), "records": t.records} for t in traces]
+                 "status": t.status, "records": t.records} for t in traces]
         written.append(write_json(out_dir / "result.json", {
             "config": result.config.to_dict(),
             "config_sha256": result.config.config_hash(), "traces": runs}))
@@ -781,10 +773,8 @@ def read_traces_csv(path) -> list[Trace]:
         by_run.setdefault(row[0], []).append(row)
     traces = []
     for run_id, run_rows in by_run.items():
-        _, method, seed, *_, status_field = run_rows[0]
-        status, _, at = status_field.partition("@")
+        _, method, seed, *_, status = run_rows[0]
         values = [[float(v) if v else math.nan for v in row[3:-1]] for row in run_rows]
         records = np.rec.fromarrays(np.array(values).T, dtype=RECORD_DTYPE)
-        traces.append(Trace(run_id, method, int(seed), records, status,
-                            int(at) if at else None))
+        traces.append(Trace(run_id, method, int(seed), records, status))
     return sorted(traces, key=lambda t: (t.method, t.seed))

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "MemoryFunction",
-    "UnsupportedKindError",
     "continuous_weight",
     "weight_normalization",
     "discrete_weights_memsgd",
@@ -26,10 +25,6 @@ __all__ = [
     "discrete_weights_hb",
     "bias_correction_factor",
 ]
-
-
-class UnsupportedKindError(ValueError):
-    """Raised when an operation is asked for on a kind that lacks it."""
 
 
 @dataclass(frozen=True)
@@ -45,13 +40,11 @@ class MemoryFunction:
     polynomial(p)   t**p                   p/t
     exponential(a)  exp(a t) - 1           a/(1 - exp(-a t))
     superexp(a)     exp(t**a) - 1          a t^(a-1)/(1 - exp(-t**a))
-    instantaneous   (no memory function)   --
     ==============  =====================  ==================
 
     ``constant``, ``square_root``, ``linear`` and ``quadratic`` are aliases
     for polynomial memory with p = 1, 1.5, 2 and 3.  Instantaneous
-    forgetting is the limit with no memory at all (plain gradient flow);
-    it has no m(t) and the value/derivative accessors reject it.
+    forgetting has no m(t): it is plain SGD (the ``sgd`` method), not a kind.
     """
 
     kind: str
@@ -63,6 +56,11 @@ class MemoryFunction:
         "linear": 2.0,
         "quadratic": 3.0,
     }
+    _KINDS = ("decaying", "polynomial", "exponential", "superexp")
+
+    def __post_init__(self):
+        if self.kind not in self._KINDS:
+            raise ValueError(f"unknown memory function kind {self.kind!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -105,23 +103,17 @@ class MemoryFunction:
         return cls("superexp", float(alpha))
 
     @classmethod
-    def instantaneous(cls) -> "MemoryFunction":
-        return cls("instantaneous")
-
-    @classmethod
     def from_name(cls, name: str, param: float | None = None) -> "MemoryFunction":
         """Build from a config-style name such as ``'quadratic'`` or ``'polynomial'``."""
         name = name.lower()
         if name in cls._POLY_ALIASES:
             return cls.polynomial(cls._POLY_ALIASES[name])
-        if name in ("decaying", "instantaneous"):
-            return cls(name)
         with_param = {"polynomial": (cls.polynomial, "a degree"),
                       "exponential": (cls.exponential, "an alpha"),
                       "superexp": (cls.super_exponential, "an alpha"),
                       "super_exponential": (cls.super_exponential, "an alpha")}
         if name not in with_param:
-            raise ValueError(f"unknown memory function kind {name!r}")
+            return cls(name)  # decaying; __post_init__ rejects an unknown kind
         build, what = with_param[name]
         if param is None:
             raise ValueError(f"{name} memory needs {what} parameter")
@@ -137,9 +129,7 @@ class MemoryFunction:
             return np.power(t, self.param)
         if self.kind == "exponential":
             return np.expm1(self.param * np.asarray(t, dtype=float))
-        if self.kind == "superexp":
-            return np.expm1(np.power(np.asarray(t, dtype=float), self.param))
-        raise UnsupportedKindError("instantaneous forgetting has no memory function")
+        return np.expm1(np.power(np.asarray(t, dtype=float), self.param))  # superexp
 
     def derivative(self, t):
         """m'(t) for t > 0 (t = 0 allowed where the limit is finite)."""
@@ -151,11 +141,8 @@ class MemoryFunction:
         if self.kind == "exponential":
             a = self.param
             return a * np.exp(a * np.asarray(t, dtype=float))
-        if self.kind == "superexp":
-            a = self.param
-            t = np.asarray(t, dtype=float)
-            return a * np.power(t, a - 1.0) * np.exp(np.power(t, a))
-        raise UnsupportedKindError("instantaneous forgetting has no memory function")
+        a, t = self.param, np.asarray(t, dtype=float)  # superexp
+        return a * np.power(t, a - 1.0) * np.exp(np.power(t, a))
 
     def ode_coefficient(self, t):
         """m'(t)/m(t), the viscosity / gradient coefficient of the memory ODE.
@@ -171,11 +158,8 @@ class MemoryFunction:
         if self.kind == "exponential":
             a = self.param
             return a / -np.expm1(-a * t)
-        if self.kind == "superexp":
-            a = self.param
-            ta = np.power(t, a)
-            return a * np.power(t, a - 1.0) / -np.expm1(-ta)
-        raise UnsupportedKindError("instantaneous forgetting has no ODE coefficient")
+        a = self.param  # superexp
+        return a * np.power(t, a - 1.0) / -np.expm1(-np.power(t, a))
 
 
 def continuous_weight(mf: MemoryFunction, s, t):

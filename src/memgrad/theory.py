@@ -9,7 +9,6 @@ brute-force oracles for the iterative implementations.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -104,8 +103,8 @@ def exp_cesaro_bound(
 
     The noise ball does not depend on the viscosity alpha.
     """
-    if alpha <= 0.0 or t <= 0.0 or not (0.0 < tau <= 1.0):
-        raise ValueError("need alpha > 0, t > 0, tau in (0, 1]")
+    if alpha <= 0.0 or t <= 0.0 or not (0.0 < tau <= 1.0) or sigma2 < 0.0:
+        raise ValueError("need alpha > 0, t > 0, tau in (0, 1], sigma2 >= 0")
     return (f_gap0 + 0.5 * alpha * dist2) / (alpha * tau * t) + 0.5 * d * sigma2 / tau
 
 
@@ -178,6 +177,8 @@ def strongly_convex_bound(
     """
     if kind not in ("mg", "hb"):
         raise ValueError(f"unknown kind {kind!r}, expected 'mg' or 'hb'")
+    if sigma2 < 0.0:
+        raise ValueError("need sigma2 >= 0")
     gamma, _ = gamma_star(alpha, 1.0, alpha * mu if kind == "mg" else mu)
     coeff = (alpha - gamma) ** 2 / (2.0 * alpha if kind == "mg" else 2.0)
     ball = d * alpha * sigma2 / (2.0 * gamma)
@@ -248,7 +249,8 @@ class BoundSpec:
 
     ``kind`` is one of the keys of :data:`BOUND_KINDS`, and ``params`` must
     bind to the kind's formula: every argument but the index and the fixed
-    ones, the noise variance and ``tau`` optional.
+    ones, the noise variance and ``tau`` optional.  The formula is evaluated
+    once at index 1, so its own checks reject a bad value at construction.
     """
 
     kind: str
@@ -260,12 +262,9 @@ class BoundSpec:
         for name, value in self.params.items():
             if not math.isfinite(float(value)):
                 raise ValueError(f"parameter {name} is not finite: {value}")
-        for noise_key in ("varsigma2", "sigma2"):
-            if self.params.get(noise_key, 0.0) < 0.0:
-                raise ValueError(f"{noise_key} must be >= 0")
         try:
-            inspect.signature(self._formula()).bind(**self._arguments(0))
-        except TypeError as err:
+            self._formula()(**self._arguments(1.0))
+        except (TypeError, OverflowError) as err:
             raise ValueError(f"bound {self.kind}: {err}") from None
 
     def _formula(self):

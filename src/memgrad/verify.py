@@ -191,10 +191,9 @@ def _check_noise_free_reduction() -> CheckResult:
     )
 
 
-def run_verification(
-    config: harness.ExperimentConfig | None = None, threads: int = 1
-) -> tuple[list[CheckResult], harness.ExperimentResult]:
-    """Run the invariant battery plus the experiment batch; ``threads`` has no effect."""
+def run_verification(config: harness.ExperimentConfig | None = None
+                     ) -> tuple[list[CheckResult], harness.ExperimentResult]:
+    """Run the invariant battery plus the experiment batch."""
     config = default_verify_config() if config is None else config
     checks = [
         _check_discrete_normalization(),
@@ -206,7 +205,7 @@ def run_verification(
         _check_bias_correction_identity(),
         _check_noise_free_reduction(),
     ]
-    result = harness.run_experiment(config, threads=threads)
+    result = harness.run_experiment(config)
     expected = len(config.expanded_methods()) * int(config.run.get("n_seeds", 1))
     n_div = sum(1 for t in result.traces if t.status != "completed")
     checks.append(CheckResult(

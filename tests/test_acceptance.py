@@ -226,7 +226,7 @@ def test_criterion_08_memsgd_rate_bounds():
                 "n_seeds": 150, "record_stride": 5},
         "master_seed": 41,
     })
-    result = harness.run_experiment(config, threads=4)
+    result = harness.run_experiment(config)
     assert len(result.aggregates) == 3
     label = f"memsgd(eta={eta},p={p})"
     spec = theory.BoundSpec("memsgd_discrete", {

@@ -320,3 +320,39 @@ class TestFlags:
         assert main(["warp", "--t-end", "0.5", "--h", "1e-3", "--threads", "2"]) == 0
         assert main(["variance-ode", "--model", "nesterov", "--t-end", "1.0",
                      "--threads", "2"]) == 0
+
+
+class TestConfigThatFailsToLoad:
+    """A config that fails to load ends the command with one line naming its
+    path, before any file is written."""
+
+    # A strongly convex bound with a negative viscosity, which its formula rejects.
+    BAD_BOUND = {
+        "problem": {"name": "quadratic_diag", "params": {"coeffs": [0.02, 0.005]}},
+        "methods": [{"name": "hb_ode", "params": {"viscosity": 0.3}}],
+        "run": {"kind": "simulate", "t_end": 1.0, "h": 0.01, "x0": [1.0, 1.0],
+                "n_seeds": 2},
+        "bounds": [{"kind": "strongly_convex_hb", "method": "hb_ode(viscosity=0.3)",
+                    "params": {"alpha": -1, "mu": 0.005, "f_gap0": 0.0125, "d": 2,
+                               "dist2": 2.0}}],
+    }
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("simulate", json.dumps(BAD_BOUND),
+         "bounds: strongly_convex_hb on hb_ode(viscosity=0.3): need alpha, tau, "
+         "mu_tilde > 0"),
+        ("optimize", '{"problem": {}}', "config: "),
+        ("verify", "{not json", "Expecting property name"),
+        ("optimize", None, "No such file"),
+    ], ids=["bound", "missing-sections", "not-json", "missing-file"])
+    def test_one_line_names_the_path(self, tmp_path, command, text, message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        line = exc.value.code
+        assert isinstance(line, str)  # the interpreter prints it and exits 1
+        assert line.startswith(f"memgrad: {path}: ") and "\n" not in line
+        assert message in line
+        assert not (tmp_path / "out").exists()

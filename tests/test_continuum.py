@@ -48,10 +48,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SdeSpec("mg", grad=lambda x: x, dim=1)
 
-    def test_instantaneous_rejected(self):
-        with pytest.raises(ValueError):
-            memory_sde(lambda x: x, 1, MemoryFunction.instantaneous())
-
     def test_hb_needs_viscosity(self):
         with pytest.raises(ValueError):
             SdeSpec("hb_ode", grad=lambda x: x, dim=1)

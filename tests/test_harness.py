@@ -232,15 +232,37 @@ class TestConfig:
          "method sgd(eta=nan)"),
         (small_raw(methods=[{"name": "adam", "params": {"eta": math.inf}}]),
          "method adam(eta=inf)"),
+        (small_raw(methods=[{"name": "hb_ode", "params": {"viscosity": "fast"}}],
+                   run=SIMULATE_RUN), "method hb_ode(viscosity=fast)"),
+        (small_raw(methods=[{"name": "hb_ode", "params": {"viscosity": "nan"}}],
+                   run=SIMULATE_RUN), "method hb_ode(viscosity=nan)"),
+        (small_raw(master_seed=1.5), "master_seed"),
+        (small_raw(master_seed=True), "master_seed"),
+        (small_raw(master_seed="7"), "master_seed"),
+        (small_raw(master_seed="abc"), "master_seed"),
     ], ids=["hb-beta-1.5", "mg-instantaneous", "record_stride-0", "n_seeds-0",
             "n_seeds-2.5", "iterations--1", "x0-inf", "x0-2d", "v0-length",
             "h-negative", "eps_start-negative", "t_end-before-eps_start",
             "t_end-inf", "h-inf", "eps_start-nan", "master_seed--1", "master_seed-2**64",
-            "sgd-eta-nan", "adam-eta-inf"])
+            "sgd-eta-nan", "adam-eta-inf", "hb_ode-viscosity-fast",
+            "hb_ode-viscosity-nan-string", "master_seed-1.5", "master_seed-true",
+            "master_seed-string-7", "master_seed-abc"])
     def test_bad_values_rejected_at_load(self, raw, where):
         with pytest.raises(ValueError) as err:
             ExperimentConfig.from_dict(raw)
         assert str(err.value).startswith(f"{where}: ")
+
+    @pytest.mark.parametrize("method", [
+        {"name": "hb_ode", "params": {"viscosity": math.nan}},
+        {"name": "hb_ode", "params": {"viscosity": math.inf}},
+        {"name": "mg", "params": {"memory": "exponential", "memory_param": math.inf}},
+    ], ids=["hb_ode-viscosity-nan", "hb_ode-viscosity-inf", "mg-memory_param-inf"])
+    def test_simulate_param_not_finite_is_named_at_load(self, method):
+        key = sorted(method["params"])[-1]
+        label = harness._method_label(method["name"], method["params"])
+        with pytest.raises(ValueError) as err:
+            small_config(methods=[method], run=SIMULATE_RUN)
+        assert str(err.value).startswith(f"method {label}: {key} must be finite, got ")
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_master_seeds_at_the_range_ends_load(self, seed):
@@ -308,7 +330,7 @@ class TestConfig:
         cfg.bounds[0].update(method="memsgd(allow_small_p=True,eta=1.0,p=1.5)")
         cfg.bounds[0]["params"].update(p=1.5, eta=1.0)
         message = (r"^bounds: memsgd_discrete on memsgd\(allow_small_p=True,eta=1.0,"
-                   r"p=1.5\): p = 1.5, but the rate needs p >= 2$")
+                   r"p=1.5\): the discrete-time rate needs p >= 2$")
         with pytest.raises(ValueError, match=message):
             cfg.validate()
         with pytest.raises(ValueError, match=message):
@@ -384,7 +406,30 @@ class TestConfig:
     def test_bad_bounds_rejected_at_load(self, bound, message):
         with pytest.raises(ValueError) as err:
             small_config(bounds=[bound])
-        assert str(err.value).startswith("bounds: ")
+        assert str(err.value).startswith(f"bounds: {bound['kind']} on {bound['method']}: ")
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("method, kind, params, message", [
+        ({"name": "hb_ode", "params": {"viscosity": 0.3}}, "strongly_convex_hb",
+         {"alpha": -1.0, "mu": 0.005, "f_gap0": 0.0125, "d": 2, "dist2": 2.0},
+         "need alpha, tau, mu_tilde > 0"),
+        ({"name": "mg", "params": {"memory": "quadratic"}}, "strongly_convex_mg",
+         {"alpha": 1.0, "mu": 0.0, "f_gap0": 0.0125, "d": 2, "dist2": 2.0},
+         "need alpha, tau, mu_tilde > 0"),
+        ({"name": "mg", "params": {"memory": "quadratic"}}, "exp_cesaro",
+         {"alpha": 1.0, "tau": 2.0, "f_gap0": 0.0125, "d": 2, "dist2": 2.0},
+         "tau in (0, 1]"),
+        ({"name": "mg", "params": {"memory": "quadratic"}}, "poly_continuous",
+         {"p": 3.0, "sigma2": -1.0, "d": 2, "dist2": 2.0}, "sigma2 >= 0"),
+    ], ids=["strongly_convex_hb-alpha--1", "strongly_convex_mg-mu-0", "exp_cesaro-tau-2",
+            "poly_continuous-sigma2--1"])
+    def test_bound_its_formula_rejects_fails_at_load(self, method, kind, params, message):
+        label = harness._method_label(method["name"], method["params"])
+        raw = small_raw(methods=[method], run=SIMULATE_RUN,
+                        bounds=[{"kind": kind, "method": label, "params": params}])
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_dict(raw)
+        assert str(err.value).startswith(f"bounds: {kind} on {label}: ")
         assert message in str(err.value)
 
     @settings(deadline=None)
@@ -397,7 +442,7 @@ class TestConfig:
         names, required = names - set_by_kind, required - set_by_kind - {entry.noise}
         keys = data.draw(st.sets(st.sampled_from(sorted(names | {"dist", "t", "k"}))))
         try:
-            BoundSpec(kind, dict.fromkeys(keys, 2.0))
+            BoundSpec(kind, {key: 1.0 if key == "tau" else 2.0 for key in keys})
         except ValueError:
             ok = False
         else:
@@ -437,16 +482,8 @@ class TestConfig:
 class TestRunDeterminism:
     def test_identical_reruns(self):
         cfg = small_config()
-        a = run_experiment(cfg, threads=1)
-        b = run_experiment(cfg, threads=1)
-        for ta, tb in zip(a.traces, b.traces):
-            assert ta.run_id == tb.run_id
-            assert ta.records.tolist() == tb.records.tolist()
-
-    def test_thread_count_invariance(self):
-        cfg = small_config()
-        a = run_experiment(cfg, threads=1)
-        b = run_experiment(cfg, threads=4)
+        a = run_experiment(cfg)
+        b = run_experiment(cfg)
         for ta, tb in zip(a.traces, b.traces):
             assert ta.run_id == tb.run_id
             assert ta.records.tolist() == tb.records.tolist()
@@ -486,10 +523,9 @@ class TestDivergenceContainment:
         by_method = {}
         for t in result.traces:
             by_method.setdefault(t.method.split("(")[0], []).append(t)
-        assert all(t.status == "diverged" for t in by_method["hb"])
+        assert all(t.status.startswith("diverged@") for t in by_method["hb"])
         assert all(t.status == "completed" for t in by_method["sgd"])
         diverged = by_method["hb"][0]
-        assert diverged.diverged_at is not None
         assert len(diverged.records) >= 1
         assert all(np.isfinite(r.grad_norm) for r in diverged.records)
         # Aggregates adjust n_runs beyond the failure index.
@@ -512,7 +548,7 @@ class TestRecordOverflow:
             assert np.isinf(obj.f_gap(np.array([1e205, 1e205])))
         result = run_experiment(cfg)
         (trace,) = result.traces
-        assert trace.status_field() == "diverged@0" and len(trace.records) == 0
+        assert trace.status == "diverged@0" and len(trace.records) == 0
         assert result.aggregates[trace.method].index.size == 0
 
 
@@ -536,8 +572,7 @@ class TestSgdDivergence:
                  "record_stride": 10},
         )
         (trace,) = run_experiment(cfg).traces
-        assert trace.status == "diverged"
-        assert trace.diverged_at == first_bad
+        assert trace.status == f"diverged@{first_bad}"
 
 
 class TestRecordBlocks:
@@ -592,7 +627,7 @@ class TestRecordBlocks:
                 expected.append(rec)
         assert first_bad is not None and len(expected) > RECORD_BLOCK
         assert np.isfinite(state.x).all()
-        assert trace.status == "diverged" and trace.diverged_at == first_bad
+        assert trace.status == f"diverged@{first_bad}"
         assert [(r.index, r.time, r.step_norm) for r in trace.records] == \
             [(k, float(k), step) for k, _, _, step in expected]
         got = np.array([[r.f_gap, r.grad_norm] for r in trace.records])
@@ -630,9 +665,7 @@ class TestSimulateDivergence:
             warnings.simplefilter("error")
             (trace,) = run_experiment(cfg).traces
         assert first_bad % stride == 0  # a record overflowed, not the state
-        assert trace.status == "diverged"
-        assert trace.diverged_at == first_bad
-        assert trace.status_field() == f"diverged@{first_bad}"
+        assert trace.status == f"diverged@{first_bad}"
         assert len(trace.records) == kept
         assert all(np.isfinite([r.f_gap, r.grad_norm, r.step_norm]).all()
                    for r in trace.records)
@@ -654,7 +687,7 @@ class TestSimulateDivergence:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traces = run_experiment(cfg).traces
-        assert [(t.method[-5:], t.seed, t.status_field()) for t in traces] == [
+        assert [(t.method[-5:], t.seed, t.status) for t in traces] == [
             ("-6.0)", 0, "diverged@442"), ("-6.0)", 1, "diverged@442"),
             ("-6.0)", 2, "diverged@443"), ("=0.0)", 0, "diverged@500"),
             ("=0.0)", 1, "diverged@500"), ("=0.0)", 2, "diverged@500")]
@@ -710,7 +743,7 @@ class TestSimulateLockstep:
             got = [(r.index, r.time, r.f_gap, r.grad_norm, r.step_norm)
                    for r in trace.records]
             assert got == records
-            assert trace.status_field() == f"diverged@{stop}"
+            assert trace.status == f"diverged@{stop}"
             stops.append(stop)
         assert len(set(stops)) > 1
 
@@ -806,7 +839,7 @@ class TestAggregation:
             records = make_records([(i, 0.5 * i, *rng.lognormal(0.0, 3.0, 3))
                                     for i in range(n)])
             traces.append(Trace(run_id=f"m|seed={seed}", method="m", seed=seed,
-                                records=records, status="diverged", diverged_at=n))
+                                records=records, status=f"diverged@{n}"))
         traces += run_experiment(small_config(
             problem={"name": "constant_field", "params": {"c": [1.0, -2.0]}},
             methods=[{"name": "sgd", "params": {"eta": 0.1}}])).traces
@@ -831,7 +864,7 @@ class TestAggregation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_experiment(cfg)
-        assert all(t.status == "diverged" for t in result.traces)
+        assert all(t.status.startswith("diverged@") for t in result.traces)
         ((method, agg),) = result.aggregates.items()
         assert agg.f_gap_mean.max() > 1e300
         for name in ("f_gap", "grad_norm", "step_norm"):
@@ -952,7 +985,7 @@ def reference_aggregates_csv(aggregates) -> str:
 def reference_result_json(result) -> str:
     """result.json with every record's dict built before encoding."""
     runs = [{"run_id": t.run_id, "method": t.method, "seed": t.seed,
-             "status": t.status_field(),
+             "status": t.status,
              "records": [dict(zip(RECORD_DTYPE.names, (None if v != v else v for v in row)))
                          for row in t.records.tolist()]}
             for t in sorted(result.traces, key=lambda t: (t.method, t.seed))]
@@ -1036,14 +1069,14 @@ class TestEmission:
             problem={"name": "constant_field", "params": {"c": [1.0, -2.0]}},
             methods=[{"name": "adam", "params": {"eta": 0.1}}]))
         traces = diverging.traces + nan_gap.traces
-        assert {t.status_field().split("@")[0] for t in traces} == {"completed", "diverged"}
+        assert {t.status.split("@")[0] for t in traces} == {"completed", "diverged"}
         emit(harness.ExperimentResult(traces, aggregate_traces(traces), diverging.config),
              tmp_path)
         parsed = read_traces_csv(tmp_path / "traces.csv")
         assert len(parsed) == len(traces)
         for got, want in zip(parsed, sorted(traces, key=lambda t: (t.method, t.seed))):
-            assert (got.run_id, got.method, got.seed, got.status, got.diverged_at) == \
-                (want.run_id, want.method, want.seed, want.status, want.diverged_at)
+            assert (got.run_id, got.method, got.seed, got.status) == \
+                (want.run_id, want.method, want.seed, want.status)
             assert got.records.dtype == RECORD_DTYPE
             for name in RECORD_DTYPE.names:
                 np.testing.assert_array_equal(got.records[name], want.records[name])
@@ -1067,7 +1100,7 @@ class TestEmission:
         nan_gap = run_experiment(small_config(
             problem={"name": "constant_field", "params": {"c": [1.0, -2.0]}},
             methods=[{"name": "adam", "params": {"eta": 0.1}}]))
-        empty = Trace("hb|seed=9", "hb", 9, make_records([]), "diverged", 0)
+        empty = Trace("hb|seed=9", "hb", 9, make_records([]), "diverged@0")
         traces = diverging.traces + nan_gap.traces + [empty]
         result = ExperimentResult(traces, aggregate_traces(traces), diverging.config)
         emit(result, tmp_path, formats=("json",))
@@ -1109,7 +1142,7 @@ class TestEmission:
                     "record_stride": 100},
             "master_seed": 1,
         })
-        result = run_experiment(cfg, threads=2)
+        result = run_experiment(cfg)
         assert len(result.traces) == 4
         assert all(t.status == "completed" for t in result.traces)
         emit(result, tmp_path)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from memgrad import memory
 from memgrad.memory import (
     MemoryFunction,
-    UnsupportedKindError,
     bias_correction_factor,
     continuous_weight,
     discrete_weights_hb,
@@ -53,12 +52,15 @@ class TestMemoryFunctionTable:
             assert np.all(vals >= 0.0)
             assert np.all(np.diff(vals) > 0.0)
 
-    def test_instantaneous_has_no_memory_function(self):
-        inst = MemoryFunction.instantaneous()
-        with pytest.raises(UnsupportedKindError):
-            inst.value(1.0)
-        with pytest.raises(UnsupportedKindError):
-            inst.ode_coefficient(1.0)
+    @pytest.mark.parametrize("kind", ["bogus", "instantaneous", "quadratic"])
+    def test_only_the_four_laws_are_kinds(self, kind):
+        # quadratic is a from_name alias of polynomial(3), not a kind.
+        with pytest.raises(ValueError, match=f"unknown memory function kind '{kind}'"):
+            MemoryFunction(kind)
+
+    def test_from_name_rejects_instantaneous(self):
+        with pytest.raises(ValueError, match="unknown memory function kind 'instantaneous'"):
+            MemoryFunction.from_name("instantaneous")
 
 
 class TestOdeCoefficient:

@@ -293,6 +293,29 @@ class TestBoundSpec:
             BoundSpec("poly_continuous", {"p": float("inf")})
         with pytest.raises(ValueError):
             BoundSpec("poly_continuous", {"sigma2": -1.0})
+        with pytest.raises(ValueError, match="strongly_convex_mg: .*out of range"):
+            BoundSpec("strongly_convex_mg", {"alpha": 1e200, "mu": 1.0, "d": 2,
+                                             "f_gap0": 1.0, "dist2": 1.0})
+
+    @pytest.mark.parametrize("kind, params, formula", [
+        ("memsgd_discrete", {"p": 2.0, "eta": 1.0, "varsigma2": -1.0},
+         lambda: memsgd_rate_bound(2.0, 1.0, 1, 2, -1.0, 1.0)),
+        ("poly_continuous", {"p": 2.0, "sigma2": -1.0},
+         lambda: poly_continuous_bound(2.0, 1.0, 2, -1.0, 1.0)),
+        ("exp_cesaro", {"alpha": 1.0, "f_gap0": 1.0, "sigma2": -1.0},
+         lambda: exp_cesaro_bound(1.0, 1.0, 2, -1.0, 1.0, 1.0)),
+        ("strongly_convex_mg", {"alpha": 1.0, "mu": 0.5, "f_gap0": 1.0, "sigma2": -1.0},
+         lambda: strongly_convex_bound("mg", 1.0, 0.5, 1.0, 2, -1.0, 1.0, 1.0)),
+        ("strongly_convex_hb", {"alpha": 1.0, "mu": 0.5, "f_gap0": 1.0, "sigma2": -1.0},
+         lambda: strongly_convex_bound("hb", 1.0, 0.5, 1.0, 2, -1.0, 1.0, 1.0)),
+    ], ids=["memsgd_discrete", "poly_continuous", "exp_cesaro", "strongly_convex_mg",
+            "strongly_convex_hb"])
+    def test_formula_rejects_a_negative_noise_variance(self, kind, params, formula):
+        # BoundSpec has no sign check of its own: the formula's, run once, rejects it.
+        with pytest.raises(ValueError, match="sigma2 >= 0"):
+            formula()
+        with pytest.raises(ValueError, match="sigma2 >= 0"):
+            BoundSpec(kind, dict(params, d=2, dist2=1.0))
 
     def test_noise_free_bounds_non_increasing(self):
         rng = np.random.default_rng(5)
