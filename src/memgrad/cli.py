@@ -146,14 +146,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    params = json.loads(args.params)
-    spec = theory.BoundSpec(args.kind, params)
-    indices = [float(v) for v in args.indices.split(",")]
-    names = sorted(params)
-    table = np.rec.fromarrays(
-        [[float(params[n])] * len(indices) for n in names]
-        + [indices, [spec.evaluate(idx) for idx in indices]],
-        names=[*names, "t_or_k", "bound"])
+    try:
+        params = json.loads(args.params)
+        if not isinstance(params, dict):
+            raise ValueError(f"--params must be a JSON object, got {args.params}")
+        spec = theory.BoundSpec(args.kind, params)
+        indices = [float(v) for v in args.indices.split(",")]
+        names = sorted(params)
+        table = np.rec.fromarrays(
+            [[float(params[n])] * len(indices) for n in names]
+            + [indices, [spec.evaluate(idx) for idx in indices]],
+            names=[*names, "t_or_k", "bound"])
+    except (TypeError, ValueError) as err:
+        raise SystemExit(f"memgrad: rates {args.kind}: {err}") from None
     path = harness.write_csv(None if args.out is None else args.out / "rates.csv",
                              ("kind", *table.dtype.names), [((args.kind,), table, ())])
     if path is not None:

@@ -13,6 +13,7 @@ import contextlib
 import csv
 import hashlib
 import inspect
+import io
 import itertools
 import json
 import math
@@ -51,11 +52,6 @@ CSV_COLUMNS = ("run_id", "method", "seed", *RECORD_DTYPE.names, "status")
 AGGREGATE_DTYPE = np.dtype([("index", np.int64), ("time", np.float64), ("n_runs", np.int64),
                             *((f"{name}_{part}", np.float64)
                               for name in STATS for part in ("mean", "ci"))])
-
-
-def _fmt(x) -> str:
-    """An int as is, a float as a 17-significant-digit decimal, NaN as empty."""
-    return str(x) if isinstance(x, int) else "" if math.isnan(x) else f"{x:.17g}"
 
 
 # ----------------------------------------------------------------------
@@ -420,6 +416,8 @@ def _run_rng(master_seed: int, run_id: str) -> np.random.Generator:
 
 # Iterates an optimize run evaluates per batched record call; bounds memory at large d.
 RECORD_BLOCK = 64
+# Noise values a run, or a simulate batch, draws per block; bounds memory at large n x d.
+NOISE_BLOCK = 1 << 16
 
 
 def _records(obj, indices, times, xs, step_norms) -> tuple[np.recarray, int | None]:
@@ -457,17 +455,17 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
         blocks.append(kept)
         return None if stop is None else index[stop]
 
-    # Steppers do not check finiteness: the run diverges at the step whose
-    # gradient draw or new iterate is not finite.
+    # Steppers do not check finiteness, and each turns a non-finite gradient
+    # into a non-finite iterate: the run diverges at the step whose new
+    # iterate is not finite, that is, whose dot product with zero is NaN.
     status, overflow = "completed", None
+    zero = np.zeros_like(state.x)
+    draws = problems.noise_draws(obj, noise, rng, iterations, NOISE_BLOCK)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(iterations):
-            g = problems.stochastic_gradient(obj, noise, state.x, rng)
-            if not np.isfinite(g).all():
-                status = f"diverged@{k + 1}"
-                break
-            state = stepper(state, g, **params)
-            if not np.isfinite(state.x).all():
+        for k, draw in enumerate(draws):
+            state = stepper(state, problems.stochastic_gradient(obj, noise, state.x, draw),
+                            **params)
+            if math.isnan(state.x.dot(zero)):
                 status = f"diverged@{k + 1}"
                 break
             if (k + 1) % stride == 0 or k + 1 == iterations:
@@ -482,10 +480,6 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
         status = f"diverged@{overflow}"
     return Trace(run_id=run_id, method=label, seed=seed,
                  records=np.concatenate(blocks).view(np.recarray), status=status)
-
-
-# Standard-normal values a simulate batch draws per noise block; bounds memory at large n x d.
-NOISE_BLOCK = 1 << 16
 
 
 def _row_noise(rngs, d: int):
@@ -728,36 +722,86 @@ def _output(path):
         raise OSError(f"cannot write {path}: {err}") from err
 
 
+def _cells(records, names, text, nonfinite):
+    """The named fields of a record array as one tuple of strings per record,
+    each formatted from its field's ``tolist()``: an int by ``str``, a float
+    by ``text``, or by ``nonfinite`` if it is NaN or infinite."""
+    columns = []
+    for name in names:
+        values = records[name].tolist()
+        if records.dtype[name].kind != "f":
+            columns.append(list(map(str, values)))
+            continue
+        cells = list(map(text, values))
+        for i in np.flatnonzero(~np.isfinite(records[name])).tolist():
+            cells[i] = nonfinite(values[i])
+        columns.append(cells)
+    return zip(*columns)
+
+
+def _csv_line(fields) -> str:
+    """The fields as one CSV line without its terminator, quoted as
+    ``csv.writer`` quotes them."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
 def write_csv(path, header, blocks) -> Path | None:
     """Stream a CSV to path (stdout for None) and return path: the header, then
-    for each (head, records, tail) block one row per record, the record's
-    values written with ``_fmt`` between the fixed fields head and tail."""
+    for each (head, records, tail) block one line per record, the record's
+    values between the fixed fields head and tail.  An int is written as is,
+    a float with 17 significant digits, NaN as an empty field."""
     with _output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(_csv_line(header) + "\n")
         for head, records, tail in blocks:
-            columns = [map(_fmt, records[name].tolist()) for name in records.dtype.names]
-            writer.writerows(head + row + tail for row in zip(*columns))
+            prefix = _csv_line(head) + "," if head else ""
+            suffix = "," + _csv_line(tail) if tail else ""
+            cells = _cells(records, records.dtype.names, "{:.17g}".format,
+                           lambda v: "" if v != v else f"{v:.17g}")
+            fh.writelines(prefix + ",".join(row) + suffix + "\n" for row in cells)
     return path
 
 
-def _record_dicts(records) -> list[dict]:
-    """A record array as a list of {field: value} dicts, NaN as None."""
-    if not isinstance(records, np.ndarray) or records.dtype.names is None:
-        raise TypeError(f"Object of type {type(records).__name__} is not JSON serializable")
-    return [dict(zip(records.dtype.names, (None if v != v else v for v in row)))
-            for row in records.tolist()]
+def _json_chunks(obj, depth: int = 0):
+    """obj in the text of ``json.dumps(obj, indent=2, sort_keys=True)`` at
+    nesting depth ``depth``, chunk by chunk.  Dict keys are strings.  A
+    record array is written as its list of record objects, keys sorted, NaN
+    as null, formatted a whole record at a time from its columns."""
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(obj, np.ndarray) and obj.dtype.names is not None:
+        if not obj.size:
+            yield "[]"
+            return
+        names = sorted(obj.dtype.names)
+        record = pad + "{" + ",".join(f"{pad}  {json.dumps(name)}: %s" for name in names) \
+            + pad + "}"
+        cells = _cells(obj, names, float.__repr__, lambda v: "null" if v != v else json.dumps(v))
+        for i, row in enumerate(cells):
+            yield ("," if i else "[") + record % row
+        yield pad[:-2] + "]"
+    elif isinstance(obj, dict) and obj:
+        for i, key in enumerate(sorted(obj)):
+            yield ("," if i else "{") + pad + json.dumps(key) + ": "
+            yield from _json_chunks(obj[key], depth + 1)
+        yield pad[:-2] + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        for i, item in enumerate(obj):
+            yield ("," if i else "[") + pad
+            yield from _json_chunks(item, depth + 1)
+        yield pad[:-2] + "]"
+    else:
+        yield json.dumps(obj)
 
 
 def write_json(path, obj) -> Path:
     """Stream obj to path as indented, key-sorted JSON and a newline, and
     return path.  A record array in obj is written as its list of record
-    dicts, built only when the encoder reaches it.  Streamed: holding all
-    of the indented encoder's chunks, or every record's dict, dominates
-    peak memory."""
+    objects, straight from its columns and only when the writer reaches it.
+    Streamed: holding the whole text, or every record's text, dominates peak
+    memory."""
     with _output(path) as fh:
-        encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_record_dicts)
-        fh.writelines(encoder.iterencode(obj))
+        fh.writelines(_json_chunks(obj))
         fh.write("\n")
     return path
 

@@ -104,20 +104,26 @@ class MemoryFunction:
 
     @classmethod
     def from_name(cls, name: str, param: float | None = None) -> "MemoryFunction":
-        """Build from a config-style name such as ``'quadratic'`` or ``'polynomial'``."""
+        """Build from a config-style name such as ``'quadratic'`` or
+        ``'polynomial'``.  ``param`` is required by the names that take one
+        and rejected by the others (``decaying`` and the polynomial aliases)."""
         name = name.lower()
-        if name in cls._POLY_ALIASES:
-            return cls.polynomial(cls._POLY_ALIASES[name])
         with_param = {"polynomial": (cls.polynomial, "a degree"),
                       "exponential": (cls.exponential, "an alpha"),
                       "superexp": (cls.super_exponential, "an alpha"),
                       "super_exponential": (cls.super_exponential, "an alpha")}
-        if name not in with_param:
-            return cls(name)  # decaying; __post_init__ rejects an unknown kind
-        build, what = with_param[name]
-        if param is None:
-            raise ValueError(f"{name} memory needs {what} parameter")
-        return build(param)
+        if name in with_param:
+            build, what = with_param[name]
+            if param is None:
+                raise ValueError(f"{name} memory needs {what} parameter")
+            return build(param)
+        if name in cls._POLY_ALIASES:
+            memory = cls.polynomial(cls._POLY_ALIASES[name])
+        else:
+            memory = cls(name)  # decaying; __post_init__ rejects an unknown kind
+        if param is not None:
+            raise ValueError(f"{name} memory takes no parameter, got {param!r}")
+        return memory
 
     # -- evaluation --------------------------------------------------------
 

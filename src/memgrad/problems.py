@@ -8,6 +8,7 @@ deterministic; RNG streams are supplied by the caller.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -21,6 +22,7 @@ __all__ = [
     "quartic_2d",
     "constant_field",
     "logistic_synthetic",
+    "noise_draws",
     "stochastic_gradient",
     "gradient_variance_bound",
 ]
@@ -83,22 +85,44 @@ class NoiseModel:
             object.__setattr__(self, "sigma", float(sigma) if sigma.ndim == 0 else sigma)
 
 
-def stochastic_gradient(
-    obj: Objective, noise: NoiseModel, x, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw one stochastic gradient at x; unbiased conditioned on x."""
+def noise_draws(obj: Objective, noise: NoiseModel, rng: np.random.Generator, steps: int,
+                block: int):
+    """An iterator over the noise of ``steps`` successive stochastic gradients
+    drawn from rng: a length-dim standard-normal vector (gaussian), a
+    component index (finite_sum) or None (none) per step.
+
+    The draws come a block of at most ``block`` values at a time;
+    ``standard_normal((b, d))`` and ``integers(n, size=b)`` give the values
+    of b successive one-step draws, so step k sees what the k-th draw alone
+    would give.
+    """
+    if noise.kind == "none":
+        return itertools.repeat(None, steps)
+    if noise.kind == "gaussian":
+        rows = max(1, block // obj.dim)
+        blocks = (rng.standard_normal((min(rows, steps - start), obj.dim))
+                  for start in range(0, steps, rows))
+    else:
+        if obj.grad_component is None or obj.n_components is None:
+            raise ValueError(f"objective {obj.name!r} has no finite-sum components")
+        blocks = (rng.integers(obj.n_components, size=min(block, steps - start)).tolist()
+                  for start in range(0, steps, block))
+    return itertools.chain.from_iterable(blocks)
+
+
+def stochastic_gradient(obj: Objective, noise: NoiseModel, x, draw) -> np.ndarray:
+    """One stochastic gradient at x, unbiased conditioned on x.  ``draw`` is
+    one step's noise from :func:`noise_draws`, or a Generator to draw it from."""
+    if isinstance(draw, np.random.Generator):
+        draw = next(noise_draws(obj, noise, draw, 1, 1))
     x = np.asarray(x, dtype=float)
     if noise.kind == "none":
         return np.asarray(obj.grad(x), dtype=float)
     if noise.kind == "gaussian":
         g = np.asarray(obj.grad(x), dtype=float)
-        xi = rng.standard_normal(obj.dim)
         sigma = noise.sigma
-        return g + (sigma * xi if isinstance(sigma, float) else sigma @ xi)
-    if obj.grad_component is None or obj.n_components is None:
-        raise ValueError(f"objective {obj.name!r} has no finite-sum components")
-    i = int(rng.integers(obj.n_components))
-    return np.asarray(obj.grad_component(i, x), dtype=float)
+        return g + (sigma * draw if isinstance(sigma, float) else sigma @ draw)
+    return np.asarray(obj.grad_component(draw, x), dtype=float)
 
 
 def quadratic_diag(coeffs) -> Objective:
@@ -225,7 +249,11 @@ def logistic_synthetic(
     def grad_component(i, w):
         a, y = features[i], labels[i]
         margin = y * np.dot(a, w)
-        return -y * a / (1.0 + math.exp(margin)) + l2 * w
+        try:
+            denom = 1.0 + math.exp(margin)
+        except OverflowError:  # the weight 1 / (1 + e^margin) is 0.0 in floating point
+            denom = math.inf
+        return -y * a / denom + l2 * w
 
     # One row at a time: features**2 would be a second (n, dim) matrix.
     L = max(float(np.sum(row * row)) for row in features) / 4.0 + l2

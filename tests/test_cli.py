@@ -356,3 +356,25 @@ class TestConfigThatFailsToLoad:
         assert line.startswith(f"memgrad: {path}: ") and "\n" not in line
         assert message in line
         assert not (tmp_path / "out").exists()
+
+
+class TestRatesThatCannotBeEvaluated:
+    """A bound that cannot be tabulated ends ``rates`` with one line naming
+    the kind, before any file is written."""
+
+    @pytest.mark.parametrize("params, indices, message", [
+        ('{"p": 2, "d": 1, "dist2": 1}', "0", "need t > 0 and sigma2 >= 0"),
+        ('{"p": 2, "d": 1, "dist2": 1, "eta": 1}', "1", "unexpected keyword argument 'eta'"),
+        ('{"p": 2, "d": 1', "1", "Expecting"),
+        ("[2, 1, 1]", "1", "--params must be a JSON object"),
+        ('{"p": 2, "d": 1, "dist2": 1}', "1,x", "could not convert string to float"),
+    ], ids=["t-zero", "unknown-param", "not-json", "not-an-object", "bad-index"])
+    def test_one_line_names_the_kind(self, tmp_path, params, indices, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--kind", "poly_continuous", "--params", params,
+                  "--indices", indices, "--out", str(tmp_path / "out")])
+        line = exc.value.code
+        assert isinstance(line, str)  # the interpreter prints it and exits 1
+        assert line.startswith("memgrad: rates poly_continuous: ") and "\n" not in line
+        assert message in line
+        assert not (tmp_path / "out").exists()

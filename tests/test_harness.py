@@ -240,13 +240,20 @@ class TestConfig:
         (small_raw(master_seed=True), "master_seed"),
         (small_raw(master_seed="7"), "master_seed"),
         (small_raw(master_seed="abc"), "master_seed"),
+        (small_raw(methods=[{"name": "mg", "params": {"memory": "decaying",
+                                                      "memory_param": 5.0}}],
+                   run=SIMULATE_RUN), "method mg(memory=decaying,memory_param=5.0)"),
+        (small_raw(methods=[{"name": "mg", "params": {"memory": "quadratic",
+                                                      "memory_param": 3.0}}],
+                   run=SIMULATE_RUN), "method mg(memory=quadratic,memory_param=3.0)"),
     ], ids=["hb-beta-1.5", "mg-instantaneous", "record_stride-0", "n_seeds-0",
             "n_seeds-2.5", "iterations--1", "x0-inf", "x0-2d", "v0-length",
             "h-negative", "eps_start-negative", "t_end-before-eps_start",
             "t_end-inf", "h-inf", "eps_start-nan", "master_seed--1", "master_seed-2**64",
             "sgd-eta-nan", "adam-eta-inf", "hb_ode-viscosity-fast",
             "hb_ode-viscosity-nan-string", "master_seed-1.5", "master_seed-true",
-            "master_seed-string-7", "master_seed-abc"])
+            "master_seed-string-7", "master_seed-abc", "mg-decaying-memory_param",
+            "mg-alias-memory_param"])
     def test_bad_values_rejected_at_load(self, raw, where):
         with pytest.raises(ValueError) as err:
             ExperimentConfig.from_dict(raw)
@@ -634,6 +641,47 @@ class TestRecordBlocks:
         np.testing.assert_allclose(got, [[f, g] for _, f, g, _ in expected], rtol=1e-15)
 
 
+class TestNoiseDrawnPerRun:
+    """An optimize run draws its noise a block at a time from its substream;
+    each step must see the draw a per-step call on that stream gives."""
+
+    @pytest.mark.parametrize("noise_block", [4, harness.NOISE_BLOCK])
+    @pytest.mark.parametrize("problem, method", [
+        # Finite sums with margins past exp's overflow: the component weight is 0.
+        ({"name": "logistic_synthetic", "params": {"n": 20, "dim": 5, "seed": 0},
+          "noise": {"kind": "finite_sum"}}, {"name": "sgd", "params": {"eta": 1e5}}),
+        ({"name": "quadratic_diag", "params": {"coeffs": [0.5, 0.1, 0.2]},
+          "noise": {"kind": "gaussian", "sigma": [[0.3, 0.1, 0.0], [0.0, 0.2, 0.1],
+                                                  [0.1, 0.0, 0.4]]}},
+         {"name": "hb", "params": {"eta": 0.5, "beta": 0.8}}),
+    ], ids=["logistic-finite-sum", "quadratic-matrix-sigma"])
+    def test_steps_match_per_step_draws(self, monkeypatch, noise_block, problem, method):
+        monkeypatch.setattr(harness, "NOISE_BLOCK", noise_block)
+        iterations, stride = 50, 5
+        cfg = small_config(problem=problem, methods=[method], master_seed=3,
+                           run={"kind": "optimize", "iterations": iterations,
+                                "x0": [0.0] * problem.get("params", {}).get("dim", 3),
+                                "n_seeds": 3, "record_stride": stride})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traces = run_experiment(cfg).traces
+        obj, noise = build_objective(cfg.problem)
+        stepper = getattr(optimizers, METHODS[method["name"]])
+        for trace in traces:
+            assert trace.status == "completed"
+            rng = harness._run_rng(cfg.master_seed, trace.run_id)
+            state = optimizers.OptimizerState.initial(np.array(cfg.run["x0"]))
+            step_norms = [0.0]
+            for k in range(1, iterations + 1):
+                g = problems.stochastic_gradient(obj, noise, state.x, rng)
+                state = stepper(state, g, **method["params"])
+                if k % stride == 0:
+                    step_norms.append(float(np.linalg.norm(state.x - state.x_prev)))
+            assert trace.records.step_norm.tolist() == step_norms
+        if problem["name"] == "logistic_synthetic":
+            assert np.isnan(np.concatenate([t.records.f_gap for t in traces])).all()
+
+
 class TestSimulateDivergence:
     def test_reported_at_the_grid_step(self):
         # Frictionless explicit Euler on a stiff quadratic grows about
@@ -982,6 +1030,26 @@ def reference_aggregates_csv(aggregates) -> str:
     return buf.getvalue()
 
 
+def reference_traces_csv(traces) -> str:
+    """traces.csv written row by row, each value formatted on its own."""
+    def fmt(x):
+        return str(x) if isinstance(x, int) else "" if math.isnan(x) else f"{x:.17g}"
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(harness.CSV_COLUMNS)
+    for t in sorted(traces, key=lambda t: (t.method, t.seed)):
+        for row in t.records.tolist():
+            writer.writerow([t.run_id, t.method, t.seed, *map(fmt, row), t.status])
+    return buf.getvalue()
+
+
+# Records no run writes but the writers must carry: NaN, both infinities,
+# a negative zero and subnormals, in every float field.
+ODD_RECORDS = [(0, 0.0, math.nan, math.inf, -math.inf), (1, 5e-324, -0.0, math.nan, 1e308),
+               (2, math.inf, -math.inf, -1e-310, math.nan)]
+
+
 def reference_result_json(result) -> str:
     """result.json with every record's dict built before encoding."""
     runs = [{"run_id": t.run_id, "method": t.method, "seed": t.seed,
@@ -1070,11 +1138,16 @@ class TestEmission:
             methods=[{"name": "adam", "params": {"eta": 0.1}}]))
         traces = diverging.traces + nan_gap.traces
         assert {t.status.split("@")[0] for t in traces} == {"completed", "diverged"}
-        emit(harness.ExperimentResult(traces, aggregate_traces(traces), diverging.config),
+        # A run with no records writes no row; odd values read back exactly.
+        empty = Trace("hb|seed=9", "hb", 9, make_records([]), "diverged@0")
+        odd = Trace("sgd|seed=9", "sgd", 9, make_records(ODD_RECORDS), "diverged@3")
+        written = traces + [empty, odd]
+        emit(harness.ExperimentResult(written, aggregate_traces(traces), diverging.config),
              tmp_path)
+        assert (tmp_path / "traces.csv").read_text() == reference_traces_csv(written)
         parsed = read_traces_csv(tmp_path / "traces.csv")
-        assert len(parsed) == len(traces)
-        for got, want in zip(parsed, sorted(traces, key=lambda t: (t.method, t.seed))):
+        assert len(parsed) == len(traces) + 1
+        for got, want in zip(parsed, sorted(traces + [odd], key=lambda t: (t.method, t.seed))):
             assert (got.run_id, got.method, got.seed, got.status) == \
                 (want.run_id, want.method, want.seed, want.status)
             assert got.records.dtype == RECORD_DTYPE
@@ -1090,7 +1163,8 @@ class TestEmission:
         assert payload["config"]["master_seed"] == 7
 
     def test_result_json_matches_a_dict_building_writer(self, tmp_path):
-        # diverged@k and diverged@0 (no records) runs, and constant_field's NaN f_gap.
+        # diverged@k and diverged@0 (no records) runs, constant_field's NaN f_gap,
+        # and infinities in every float field.
         diverging = run_experiment(small_config(
             problem={"name": "quadratic_diag", "params": {"coeffs": [50.0, 50.0]}},
             methods=[{"name": "hb", "params": {"eta": 10.0, "beta": 0.99}},
@@ -1101,11 +1175,13 @@ class TestEmission:
             problem={"name": "constant_field", "params": {"c": [1.0, -2.0]}},
             methods=[{"name": "adam", "params": {"eta": 0.1}}]))
         empty = Trace("hb|seed=9", "hb", 9, make_records([]), "diverged@0")
+        odd = Trace("sgd|seed=9", "sgd", 9, make_records(ODD_RECORDS), "diverged@3")
         traces = diverging.traces + nan_gap.traces + [empty]
-        result = ExperimentResult(traces, aggregate_traces(traces), diverging.config)
+        result = ExperimentResult(traces + [odd], aggregate_traces(traces), diverging.config)
         emit(result, tmp_path, formats=("json",))
         text = (tmp_path / "result.json").read_text()
         assert text == reference_result_json(result)
+        assert '"grad_norm": Infinity' in text and '"step_norm": -Infinity' in text
         statuses = [t["status"] for t in json.loads(text)["traces"]]
         assert "diverged@0" in statuses and "completed" in statuses
         assert any(re.fullmatch(r"diverged@[1-9]\d*", s) for s in statuses)

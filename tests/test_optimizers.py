@@ -409,3 +409,34 @@ class TestStepperPurity:
 def row_of(state, r):
     """Row r of a batched state, as a one-run state."""
     return OptimizerState(state.x[r], state.x_prev[r], state.k, state.m1[r], state.m2[r])
+
+
+class TestNonFiniteGradient:
+    """Every stepper turns a gradient with a NaN or infinite component into a
+    non-finite iterate in that run's row, so the optimize loop's iterate
+    check alone finds a non-finite gradient draw."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("later", [False, True], ids=["k=0", "later-k"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["(d,)", "(n, d)"])
+    def test_gives_a_non_finite_iterate(self, later, batched, data):
+        name = data.draw(st.sampled_from(sorted(METHODS)))
+        shape = (data.draw(st.integers(1, 4)),) + ((data.draw(st.integers(1, 4)),)
+                                                    if batched else ())
+        finite = hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))
+        if later:
+            state = OptimizerState(
+                x=data.draw(finite), x_prev=data.draw(finite),
+                k=data.draw(st.integers(1, 10**4)), m1=data.draw(finite),
+                m2=data.draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1e3))))
+        else:
+            state = OptimizerState.initial(data.draw(finite))
+        g = data.draw(finite)
+        bad = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
+        g[bad] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        params = dict(PURITY_PARAMS[name], eta=data.draw(st.floats(1e-6, 1e6)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = getattr(optimizers, METHODS[name])(state, g, **params)
+        row = bad[0] if batched else slice(None)
+        assert not np.isfinite(new.x[row]).all()

@@ -1,5 +1,6 @@
 """Objectives, declared constants, and gradient-noise models."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from memgrad.problems import (
     empirical_gradient_covariance,
     gradient_variance_bound,
     logistic_synthetic,
+    noise_draws,
     quadratic_diag,
     quartic_2d,
     stochastic_gradient,
@@ -124,6 +126,24 @@ class TestLogisticSynthetic:
         for _ in range(5000):
             w = w - eta * obj.grad(w)
         assert np.linalg.norm(obj.grad(w)) <= 1e-8
+
+    @pytest.mark.parametrize("l2", [0.0, 0.5])
+    def test_component_weight_is_zero_where_exp_overflows(self, l2):
+        # math.exp overflows once the margin passes about 709.78, where the
+        # weight 1 / (1 + e^margin) is 0.0 in floating point: the component
+        # gradient is then l2 w alone.  Below that it keeps the formula's bits.
+        obj = logistic_synthetic(n=20, dim=5, seed=0, l2=l2)
+        for i in range(obj.n_components):
+            ya = -2.0 * obj.grad_component(i, np.zeros(5))  # y_i a_i, exactly
+            for margin in (-50.0, 0.0, 700.0, 709.7, 709.8, 710.0, 1e5, 1e300):
+                w = margin * ya / ya.dot(ya)
+                got = obj.grad_component(i, w)
+                try:
+                    want = -ya / (1.0 + math.exp(np.dot(ya, w))) + l2 * w
+                except OverflowError:
+                    want = l2 * w
+                    assert margin > 709.78
+                np.testing.assert_array_equal(got, want)
 
     def test_reproducible_from_seed(self):
         a = logistic_synthetic(n=20, dim=3, seed=7)
@@ -307,6 +327,29 @@ class TestStochasticGradient:
             [stochastic_gradient(obj, noise, w, rng) for _ in range(20000)], axis=0
         )
         np.testing.assert_allclose(draws, obj.grad(w), atol=0.05)
+
+
+    @settings(deadline=None, max_examples=50)
+    @given(kind=st.sampled_from(["none", "scalar", "matrix", "finite_sum"]),
+           seed=st.integers(0, 2**64 - 1), d=st.integers(1, 5), steps=st.integers(0, 30),
+           block=st.integers(1, 12))
+    def test_block_draws_give_the_per_step_gradients(self, kind, seed, d, steps, block):
+        # A block of draws crosses block boundaries at every step count, and
+        # each step gets the bits of a gradient drawn alone from the stream.
+        sigma = np.random.default_rng(d).standard_normal((d, d))
+        obj, noise = {
+            "none": (quadratic_diag(np.ones(d)), NoiseModel("none")),
+            "scalar": (quadratic_diag(np.ones(d)), NoiseModel("gaussian", sigma=0.3)),
+            "matrix": (quadratic_diag(np.ones(d)), NoiseModel("gaussian", sigma=sigma)),
+            "finite_sum": (logistic_synthetic(n=7, dim=d, seed=0), NoiseModel("finite_sum")),
+        }[kind]
+        x = np.linspace(-1.0, 1.0, d)
+        rng = np.random.Generator(np.random.Philox(seed))
+        alone = [stochastic_gradient(obj, noise, x, rng) for _ in range(steps)]
+        draws = noise_draws(obj, noise, np.random.Generator(np.random.Philox(seed)), steps,
+                            block)
+        blocked = [stochastic_gradient(obj, noise, x, draw) for draw in draws]
+        assert [g.tobytes() for g in blocked] == [g.tobytes() for g in alone]
 
 
 class TestCovarianceHelpers:
