@@ -4,7 +4,8 @@ Subcommands: ``optimize`` (discrete methods), ``simulate`` (ODE/SDE
 trajectories), ``variance-ode``, ``isometry``, ``warp``, ``verify`` (the
 invariant battery), ``rates`` (bound tables).  Config-driven commands read
 a JSON document (see the README for the schema), and one that fails to
-load ends the command with exit code 1 and one line naming its path.
+load, or to fit the objective it builds, ends the command with exit code 1
+and one line naming its path.
 """
 
 from __future__ import annotations
@@ -229,7 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except harness.ConfigError as err:  # raised before the first run
+        raise SystemExit(f"memgrad: {args.config or args.command}: {err}") from None
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """Experiment runner: problems x methods x seeds -> traces, stats, files.
 
 A config is a plain JSON-shaped document (see :class:`ExperimentConfig`);
-every grid entry expands to a concrete run, every run draws its noise
+every grid entry expands to a concrete method whose seeds run together:
+an optimize method's step in groups as one (n, d) batch, a simulate
+method's integrate as one batch of paths.  Every run draws its noise
 from a counter-based substream keyed by the run id, and results are
 reduced in a fixed order, so a (config, master seed) pair maps to
-byte-identical output.
+byte-identical output whatever the grouping.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from memgrad.theory import BOUND_KINDS, BoundSpec
 
 __all__ = [
     "ExperimentConfig",
+    "ConfigError",
     "RECORD_DTYPE",
     "AGGREGATE_DTYPE",
     "Trace",
@@ -322,8 +325,13 @@ def _noise_model(noise_cfg: dict) -> problems.NoiseModel:
 
 
 def build_objective(problem_cfg: dict) -> tuple[problems.Objective, problems.NoiseModel]:
-    """Instantiate the configured objective and its noise model."""
-    obj = _problem_builder(problem_cfg["name"])(**problem_cfg.get("params", {}))
+    """Instantiate the configured objective and its noise model; a value the
+    builder rejects raises ValueError naming the problem."""
+    name = problem_cfg["name"]
+    try:
+        obj = _problem_builder(name)(**problem_cfg.get("params", {}))
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"problem {name}: {err}") from None
     return obj, _noise_model(problem_cfg.get("noise", {}))
 
 
@@ -414,82 +422,150 @@ def _run_rng(master_seed: int, run_id: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Iterates an optimize run evaluates per batched record call; bounds memory at large d.
+# Iterates an optimize group evaluates per batched record call; bounds memory at large d.
 RECORD_BLOCK = 64
-# Noise values a run, or a simulate batch, draws per block; bounds memory at large n x d.
+# Noise values an optimize group, or a simulate batch, draws per block; bounds memory
+# at large n x d.
 NOISE_BLOCK = 1 << 16
+# Iterate values an optimize group steps together: a method's seeds step in groups
+# of max(1, STEP_BLOCK // d), so that a step's arrays stay in cache at large d.
+STEP_BLOCK = 1 << 12
 
 
-def _records(obj, indices, times, xs, step_norms) -> tuple[np.recarray, int | None]:
+def _records(obj, indices, times, xs, step_norms) -> tuple[np.recarray, np.ndarray]:
     """Records of the rows of xs, with f_gap and the gradient norm evaluated in
-    one batched call, up to the first row whose f_gap is inf or whose gradient
-    or step norm is not finite (an overflowing trajectory, even if the iterate
-    is finite), and that row's position or None.  A NaN f_gap is kept."""
+    one batched call, and which of them overflow: an inf f_gap, or a gradient
+    or step norm that is not finite (an overflowing trajectory, even if the
+    iterate is finite).  A NaN f_gap is kept.
+
+    A lone row is evaluated beside a copy of itself: a one-row product takes
+    BLAS's matrix-vector path, which sums in another order than the
+    matrix-matrix path of a block, so its record would depend on its block.
+    """
     xs = np.asarray(xs, dtype=float)
-    records = np.recarray(len(xs), dtype=RECORD_DTYPE)
+    n = len(xs)
+    batch = np.concatenate([xs, xs]) if n == 1 else xs
+    records = np.recarray(n, dtype=RECORD_DTYPE)
     records.index, records.time, records.step_norm = indices, times, step_norms
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            records.f_gap = obj.f_gap(xs)
+            records.f_gap = obj.f_gap(batch)[:n]
         except ValueError:
             records.f_gap = np.nan
-        records.grad_norm = np.linalg.norm(np.broadcast_to(obj.grad(xs), xs.shape), axis=-1)
-    bad = np.isinf(records.f_gap) | ~np.isfinite(records.grad_norm) | ~np.isfinite(step_norms)
-    stop = int(np.argmax(bad)) if bad.any() else None
-    return records[:stop], stop
+        records.grad_norm = np.linalg.norm(
+            np.broadcast_to(obj.grad(batch), batch.shape)[:n], axis=-1)
+    return records, (np.isinf(records.f_gap) | ~np.isfinite(records.grad_norm)
+                     | ~np.isfinite(records.step_norm))
 
 
-def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, seed):
-    run_id = f"{label}|seed={seed}"
-    rng = _run_rng(master_seed, run_id)
+def _row_noise(rngs, d: int, components: int | None = None, steps: int | None = None):
+    """A callable giving the next step's (len(rngs), d) standard-normal block,
+    or with ``components`` its len(rngs) component indices drawn by
+    ``integers(components)``; row r continues rngs[r]'s stream.  Each stream
+    is drawn a block of at most ``steps`` steps at a time;
+    ``standard_normal((b, d))`` and ``integers(n, size=b)`` give the values of
+    b successive one-step draws."""
+    b = max(1, min(NOISE_BLOCK // (len(rngs) * (d if components is None else 1)),
+                   steps or NOISE_BLOCK))
+    block = ((lambda rng: rng.standard_normal((b, d))) if components is None else
+             (lambda rng: rng.integers(components, size=b)))
+    return (row for _ in itertools.count() for row in
+            np.stack([block(rng) for rng in rngs], axis=1)).__next__
+
+
+def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, seeds):
+    """A group of one method's seeds, stepped together as an (n, d) batch.
+
+    Each step draws every row's noise from its own run's substream, takes
+    one batched stochastic gradient and one stepper call per live row, and
+    freezes a row whose new iterate is not finite as ``diverged@k``.
+    Recorded iterates wait in one queue across the group and are evaluated
+    RECORD_BLOCK at a time.  A run stops at its first overflowing record,
+    which it leaves out and reports as ``diverged@index``.
+    """
+    run_ids = [f"{label}|seed={seed}" for seed in seeds]
     iterations = int(run_cfg["iterations"])
     stride = int(run_cfg.get("record_stride", 1))
     stepper, params = _method_call("optimize", name, params)
-    state = optimizers.OptimizerState.initial(np.asarray(run_cfg["x0"], dtype=float))
-    blocks, pending = [], [(0, state.x, 0.0)]  # (index, iterate, step norm)
+    x0 = np.asarray(run_cfg["x0"], dtype=float)
+    n = len(run_ids)
+    draw = itertools.repeat(None).__next__ if noise.kind == "none" else _row_noise(
+        [_run_rng(master_seed, run_id) for run_id in run_ids], obj.dim,
+        obj.n_components if noise.kind == "finite_sum" else None, iterations)
+    states = [optimizers.OptimizerState.initial(x0) for _ in run_ids]
+    live, xs = np.arange(n), np.tile(x0, (n, 1))  # the rows still stepping, their iterates
+    status, zero = ["completed"] * n, np.zeros(xs.size)
+    pending, done = [], []  # (rows, indices, iterates, step norms); (rows, records, overflow)
 
-    def flush():  # the index of the first overflowing record, if any
-        index, xs, step_norms = zip(*pending)
+    def flush():  # evaluate the queue; the rows that overflowed
+        rows, indices, iterates, step_norms = (np.concatenate(part) for part in zip(*pending))
         pending.clear()
-        kept, stop = _records(obj, index, index, xs, step_norms)
-        blocks.append(kept)
-        return None if stop is None else index[stop]
+        records, bad = _records(obj, indices, indices, iterates, step_norms)
+        done.append((rows, records, bad))
+        return rows[bad].tolist()
 
+    def record(k, step_norms):  # queue the live rows at step k; the rows that overflowed
+        overflowed, start = [], 0
+        while start < len(live):
+            end = start + RECORD_BLOCK - sum(len(chunk[0]) for chunk in pending)
+            rows = live[start:end]
+            pending.append((rows, np.full(len(rows), k), xs[start:end], step_norms[start:end]))
+            if end <= len(live):  # the queue holds RECORD_BLOCK rows
+                overflowed += flush()
+            start = end
+        return overflowed
+
+    def drop(keep):  # stop stepping the rows not kept
+        nonlocal live, xs, states
+        live, xs = live[keep], xs[keep]
+        states = list(itertools.compress(states, keep.tolist()))
+
+    overflowed = record(0, np.zeros(n))
     # Steppers do not check finiteness, and each turns a non-finite gradient
-    # into a non-finite iterate: the run diverges at the step whose new
-    # iterate is not finite, that is, whose dot product with zero is NaN.
-    status, overflow = "completed", None
-    zero = np.zeros_like(state.x)
-    draws = problems.noise_draws(obj, noise, rng, iterations, NOISE_BLOCK)
+    # into a non-finite iterate: a run diverges at the step whose new iterate
+    # is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, draw in enumerate(draws):
-            state = stepper(state, problems.stochastic_gradient(obj, noise, state.x, draw),
-                            **params)
-            if math.isnan(state.x.dot(zero)):
-                status = f"diverged@{k + 1}"
+        for k in range(1, iterations + 1):
+            if overflowed:
+                drop(~np.isin(live, overflowed))
+            if not live.size:
                 break
-            if (k + 1) % stride == 0 or k + 1 == iterations:
-                pending.append((k + 1, state.x, float(np.linalg.norm(state.x - state.x_prev))))
-            if len(pending) == RECORD_BLOCK:
-                overflow = flush()
-                if overflow is not None:
-                    break
+            noise_k = draw()
+            grads = problems.stochastic_gradient(
+                obj, noise, xs, noise_k if noise_k is None or len(live) == n else noise_k[live])
+            states = [stepper(state, g, **params) for state, g in zip(states, grads)]
+            # A lone row is viewed, not copied: at large d a group holds one seed,
+            # and a copy per step would make it slower than a run stepped alone.
+            new = np.array([state.x for state in states]) if len(states) > 1 else states[0].x[None]
+            recorded = k % stride == 0 or k == iterations
+            if recorded:
+                step_norms = np.sqrt([dx.dot(dx) for dx in new - xs])
+            xs = new
+            if math.isnan(new.ravel().dot(zero[:new.size])):  # NaN iff an entry is not finite
+                keep = np.isfinite(new).all(axis=1)
+                for row in live[~keep].tolist():
+                    status[row] = f"diverged@{k}"
+                drop(keep)
+                if recorded:
+                    step_norms = step_norms[keep]
+            overflowed = record(k, step_norms) if recorded else []
     if pending:
-        overflow = flush()
-    if overflow is not None:
-        status = f"diverged@{overflow}"
-    return Trace(run_id=run_id, method=label, seed=seed,
-                 records=np.concatenate(blocks).view(np.recarray), status=status)
-
-
-def _row_noise(rngs, d: int):
-    """A callable giving the next substep's (len(rngs), d) standard-normal
-    block, whose row r continues rngs[r]'s stream.  Each stream is drawn a
-    block of substeps at a time; ``standard_normal((b, d))`` gives the values
-    of b successive ``standard_normal(d)`` calls."""
-    b = max(1, NOISE_BLOCK // (len(rngs) * d))
-    return (row for _ in itertools.count() for row in
-            np.stack([rng.standard_normal((b, d)) for rng in rngs], axis=1)).__next__
+        flush()
+    rows, records, bad = (np.concatenate(parts) for parts in zip(*done))
+    order = np.argsort(rows, kind="stable")  # each run's records stay in index order
+    records, bad = records[order].view(np.recarray), bad[order]
+    bounds = np.searchsorted(rows[order], np.arange(n + 1)).tolist()
+    traces = []
+    for row, (run_id, seed) in enumerate(zip(run_ids, seeds)):
+        run = slice(bounds[row], bounds[row + 1])
+        run_records = records[run]
+        if bad[run].any():  # every record precedes the step the iterate diverged at
+            stop = int(np.argmax(bad[run]))
+            status[row] = f"diverged@{run_records.index[stop]}"
+            run_records = run_records[:stop]
+        traces.append(Trace(run_id=run_id, method=label, seed=seed, records=run_records,
+                            status=status[row]))
+    return traces
 
 
 def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, seeds):
@@ -514,20 +590,27 @@ def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, see
         xs = xs[finite]
         with np.errstate(over="ignore", invalid="ignore"):
             step_norms = np.linalg.norm(np.diff(xs, axis=0, prepend=xs[:1]), axis=-1)
-        records, stop = _records(obj, range(len(xs)), times[finite], xs, step_norms)
+        records, bad = _records(obj, range(len(xs)), times[finite], xs, step_norms)
         status = f"diverged@{j}" if j else "completed"
-        if stop is not None:  # every record precedes an integration failure
+        if bad.any():  # every record precedes an integration failure
+            stop = int(np.argmax(bad))
             status = f"diverged@{round((times[stop] - spec.eps_start) / h)}"
+            records = records[:stop]
         traces.append(Trace(run_id=run_id, method=label, seed=seed, records=records,
                             status=status))
     return traces
 
 
 def _check_against_objective(config: ExperimentConfig, obj: problems.Objective) -> None:
-    """Raise ValueError unless x0 has the objective's dimension and each declared
-    bound describes its run: d = len(x0); dist2 = ||x0 - x*||^2 (to 1e-12
-    relative) if x* is declared; and a ``memsgd_discrete`` bound has its
-    method's p and eta, with eta <= (p-1)/(pL) (to 1e-12) if L is declared."""
+    """Raise ValueError unless finite-sum noise has components to sample, x0
+    has the objective's dimension and each declared bound describes its run:
+    d = len(x0); dist2 = ||x0 - x*||^2 (to 1e-12 relative) if x* is declared;
+    and a ``memsgd_discrete`` bound has its method's p and eta, with
+    eta <= (p-1)/(pL) (to 1e-12) if L is declared."""
+    if config.problem.get("noise", {}).get("kind") == "finite_sum" \
+            and obj.grad_component is None:
+        raise ValueError(f"problem.noise: finite_sum noise needs finite-sum components, "
+                         f"and {obj.name} has none")
     x0 = np.asarray(config.run["x0"], dtype=float)
     if x0.size != obj.dim:
         raise ValueError(f"run: x0 has length {x0.size}, but problem "
@@ -560,27 +643,38 @@ class ExperimentResult:
     config: ExperimentConfig
 
 
+class ConfigError(ValueError):
+    """A config that fails before its first run: it does not validate, its
+    objective cannot be built, or it does not fit that objective."""
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute every (method x seed) run and aggregate the traces.
 
-    Optimize runs execute one after another, and the seeds of a simulate
-    method are integrated together.  Each run derives its own RNG substream
-    from its run id, so the result set does not depend on run order.  A run
-    that diverges is recorded up to its failure index and never aborts the
-    batch.  Before the first run, x0 and each declared bound are checked
-    against the objective.
+    The seeds of a method run together: an optimize method's in groups of
+    max(1, STEP_BLOCK // d) seeds, each stepped as one (n, d) batch, and a
+    simulate method's as one batch of paths.  Each run derives its own RNG
+    substream from its run id, so the result set does not depend on run
+    order or grouping.  A run that diverges is recorded up to its failure
+    index and never aborts the batch.  Before the first run, the config is
+    validated, its objective built, and x0, the noise and each declared
+    bound checked against the objective; a ValueError there is raised as
+    ConfigError.
     """
-    config.validate()
-    obj, noise = build_objective(config.problem)
-    _check_against_objective(config, obj)
+    try:
+        config.validate()
+        obj, noise = build_objective(config.problem)
+        _check_against_objective(config, obj)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     seeds = range(int(config.run.get("n_seeds", 1)))
     args = (obj, noise, config.run, config.master_seed)
-    if config.run.get("kind", "optimize") == "optimize":
-        traces = [_execute_optimize(label, name, params, *args, seed)
-                  for label, name, params in config.expanded_methods() for seed in seeds]
-    else:
-        traces = [trace for label, name, params in config.expanded_methods()
-                  for trace in _execute_simulate(label, name, params, *args, seeds)]
+    optimize = config.run.get("kind", "optimize") == "optimize"
+    execute = _execute_optimize if optimize else _execute_simulate
+    size = max(1, STEP_BLOCK // obj.dim) if optimize else len(seeds)
+    traces = [trace for label, name, params in config.expanded_methods()
+              for start in range(0, len(seeds), size)
+              for trace in execute(label, name, params, *args, seeds[start:start + size])]
     traces.sort(key=lambda t: (t.method, t.seed))
     return ExperimentResult(traces=traces, aggregates=aggregate_traces(traces),
                             config=config)

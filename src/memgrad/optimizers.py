@@ -14,7 +14,7 @@ non-finite iterate, and the loop that steps them decides what that means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OptimizerState:
+class OptimizerState(NamedTuple):
     """Iterate, previous iterate, step counter, and moment buffers.
 
     ``m1``/``m2`` hold the first- and second-moment accumulators of the

@@ -8,7 +8,6 @@ deterministic; RNG streams are supplied by the caller.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -22,7 +21,6 @@ __all__ = [
     "quartic_2d",
     "constant_field",
     "logistic_synthetic",
-    "noise_draws",
     "stochastic_gradient",
     "gradient_variance_bound",
 ]
@@ -85,44 +83,32 @@ class NoiseModel:
             object.__setattr__(self, "sigma", float(sigma) if sigma.ndim == 0 else sigma)
 
 
-def noise_draws(obj: Objective, noise: NoiseModel, rng: np.random.Generator, steps: int,
-                block: int):
-    """An iterator over the noise of ``steps`` successive stochastic gradients
-    drawn from rng: a length-dim standard-normal vector (gaussian), a
-    component index (finite_sum) or None (none) per step.
-
-    The draws come a block of at most ``block`` values at a time;
-    ``standard_normal((b, d))`` and ``integers(n, size=b)`` give the values
-    of b successive one-step draws, so step k sees what the k-th draw alone
-    would give.
-    """
-    if noise.kind == "none":
-        return itertools.repeat(None, steps)
-    if noise.kind == "gaussian":
-        rows = max(1, block // obj.dim)
-        blocks = (rng.standard_normal((min(rows, steps - start), obj.dim))
-                  for start in range(0, steps, rows))
-    else:
-        if obj.grad_component is None or obj.n_components is None:
-            raise ValueError(f"objective {obj.name!r} has no finite-sum components")
-        blocks = (rng.integers(obj.n_components, size=min(block, steps - start)).tolist()
-                  for start in range(0, steps, block))
-    return itertools.chain.from_iterable(blocks)
-
-
 def stochastic_gradient(obj: Objective, noise: NoiseModel, x, draw) -> np.ndarray:
-    """One stochastic gradient at x, unbiased conditioned on x.  ``draw`` is
-    one step's noise from :func:`noise_draws`, or a Generator to draw it from."""
-    if isinstance(draw, np.random.Generator):
-        draw = next(noise_draws(obj, noise, draw, 1, 1))
+    """Stochastic gradients at x, one per row of a batch, each unbiased
+    conditioned on its row.  ``draw`` is the step's noise, one row's or one
+    per row: a length-dim standard-normal vector (gaussian), a component
+    index (finite_sum) or None (none); or a Generator to draw one row's from.
+    Each row gets the bits it gets alone where ``obj.grad`` does (not
+    quartic's ``x**3``, whose array and scalar forms differ in the last bit)."""
     x = np.asarray(x, dtype=float)
+    if isinstance(draw, np.random.Generator):
+        draw = (draw.standard_normal(obj.dim) if noise.kind == "gaussian" else
+                int(draw.integers(obj.n_components)) if noise.kind == "finite_sum" else None)
+    if noise.kind == "finite_sum":
+        if x.ndim == 1:
+            return np.asarray(obj.grad_component(draw, x), dtype=float)
+        grads = [obj.grad_component(i, row) for i, row in zip(draw.tolist(), x)]
+        # A lone row's gradient is viewed as a batch of one, not copied into one.
+        return np.array(grads) if len(grads) > 1 else np.asarray(grads[0], dtype=float)[None]
+    g = np.asarray(obj.grad(x), dtype=float)
+    if g.shape != x.shape:  # a gradient that does not depend on x
+        g = np.broadcast_to(g, x.shape)
     if noise.kind == "none":
-        return np.asarray(obj.grad(x), dtype=float)
-    if noise.kind == "gaussian":
-        g = np.asarray(obj.grad(x), dtype=float)
-        sigma = noise.sigma
-        return g + (sigma * draw if isinstance(sigma, float) else sigma @ draw)
-    return np.asarray(obj.grad_component(draw, x), dtype=float)
+        return g
+    sigma = noise.sigma
+    # sigma applied row by row: a matrix product of the whole batch sums in another order.
+    return g + (sigma * draw if isinstance(sigma, float) else
+                np.matmul(sigma, draw[..., None])[..., 0])
 
 
 def quadratic_diag(coeffs) -> Objective:

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from memgrad import continuum, optimizers, theory
+from memgrad import continuum, harness, optimizers, theory
 from memgrad.cli import main
 from memgrad.harness import ExperimentConfig
 
 MEMSGD_STEP = optimizers.memsgd_p_step
+SGD_STEP = optimizers.sgd_step
 
 
 def memsgd_ignoring_its_gradient(state, g, eta, p, allow_small_p=False):
@@ -356,6 +357,59 @@ class TestConfigThatFailsToLoad:
         assert line.startswith(f"memgrad: {path}: ") and "\n" not in line
         assert message in line
         assert not (tmp_path / "out").exists()
+
+
+class TestConfigThatDoesNotFitItsObjective:
+    """A config that loads but fails once its objective is built or checked
+    against it ends the command with one line naming its path, before any
+    run or file; a ValueError raised partway through a run still propagates."""
+
+    RUN = {"kind": "optimize", "iterations": 5, "x0": [1.0, 1.0], "n_seeds": 2}
+
+    @pytest.mark.parametrize("problem, message", [
+        ({"name": "quadratic_diag", "params": {"coeffs": [1.0, 1.0]},
+          "noise": {"kind": "finite_sum"}},
+         "problem.noise: finite_sum noise needs finite-sum components, and "
+         "quadratic_diag(1.0, 1.0) has none"),
+        ({"name": "quadratic_diag", "params": {"coeffs": [-1.0, 0.5]}},
+         "problem quadratic_diag: coefficients must be finite and >= 0"),
+        ({"name": "quadratic_diag", "params": {"coeffs": [1.0, 1.0, 1.0]}},
+         "run: x0 has length 2, but problem quadratic_diag has dim 3"),
+    ], ids=["finite-sum-without-components", "negative-coeff", "coeffs-longer-than-x0"])
+    def test_one_line_names_the_path(self, tmp_path, monkeypatch, problem, message):
+        def stepper(*args, **kwargs):
+            pytest.fail("a run started")
+
+        stepper.__wrapped__ = SGD_STEP  # what the dry step at load runs
+        monkeypatch.setattr(optimizers, "sgd_step", stepper)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": problem, "run": self.RUN,
+                                    "methods": [{"name": "sgd", "params": {"eta": 0.1}}]}))
+        ExperimentConfig.from_file(path)  # it loads
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == f"memgrad: {path}: {message}"
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_override_out_of_range_names_the_path(self, optimize_config):
+        path, out = optimize_config
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--config", str(path), "--seed", "-1"])
+        assert exc.value.code.startswith(f"memgrad: {path}: master_seed: ")
+        assert not out.exists()
+
+    def test_value_error_partway_through_a_run_propagates(self, optimize_config,
+                                                          monkeypatch):
+        def sgd_failing_at_step_3(state, g, eta):
+            if state.k == 3:  # the dry step at load runs at k = 0
+                raise ValueError("step 3")
+            return SGD_STEP(state, g, eta=eta)
+
+        monkeypatch.setattr(optimizers, "sgd_step", sgd_failing_at_step_3)
+        path, _ = optimize_config
+        with pytest.raises(ValueError, match="^step 3$") as exc:
+            main(["optimize", "--config", str(path)])
+        assert not isinstance(exc.value, harness.ConfigError)
 
 
 class TestRatesThatCannotBeEvaluated:

@@ -682,6 +682,151 @@ class TestNoiseDrawnPerRun:
             assert np.isnan(np.concatenate([t.records.f_gap for t in traces])).all()
 
 
+def reference_optimize(cfg) -> dict:
+    """Each run of an optimize config stepped alone from its own substream: a
+    stochastic gradient drawn per step, and the stepper.  The run diverges at
+    the first step whose iterate is not finite, and its records stop before
+    the first that overflows.  Each record is evaluated beside a copy of
+    itself, as a block of rows evaluates it.  Run id -> (status, cause,
+    records), the cause ``iterate``, ``record`` or None."""
+    obj, noise = build_objective(cfg.problem)
+    iterations, stride = cfg.run["iterations"], cfg.run.get("record_stride", 1)
+    out = {}
+    for label, name, params in cfg.expanded_methods():
+        stepper = getattr(optimizers, METHODS[name])
+        for seed in range(cfg.run["n_seeds"]):
+            run_id = f"{label}|seed={seed}"
+            rng = harness._run_rng(cfg.master_seed, run_id)
+            state = optimizers.OptimizerState.initial(np.array(cfg.run["x0"], dtype=float))
+            rows, status, cause, records = [(0, state.x, 0.0)], "completed", None, []
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(1, iterations + 1):
+                    g = problems.stochastic_gradient(obj, noise, state.x, rng)
+                    state = stepper(state, g, **params)
+                    if not np.isfinite(state.x).all():
+                        status, cause = f"diverged@{k}", "iterate"
+                        break
+                    if k % stride == 0 or k == iterations:
+                        rows.append((k, state.x, float(np.linalg.norm(state.x - state.x_prev))))
+                for k, x, step_norm in rows:
+                    pair = np.stack([x, x])
+                    f_gap = math.nan if obj.f_star is None else obj.f_gap(pair)[0]
+                    grad_norm = np.linalg.norm(obj.grad(pair), axis=-1)[0]
+                    if np.isinf(f_gap) or not np.isfinite([grad_norm, step_norm]).all():
+                        status, cause = f"diverged@{k}", "record"
+                        break
+                    records.append((k, float(k), f_gap, grad_norm, step_norm))
+            out[run_id] = (status, cause, make_records(records))
+    return out
+
+
+class TestOptimizeLockstep:
+    """A method's seeds step together in groups, with one noise block, one
+    gradient call and one finiteness check per step, and their records
+    evaluated in blocks across the group; every run must match the same run
+    stepped alone."""
+
+    @staticmethod
+    def run_grouped(monkeypatch, cfg, rows_per_group, record_block):
+        if rows_per_group is not None:
+            monkeypatch.setattr(harness, "STEP_BLOCK", rows_per_group * len(cfg.run["x0"]))
+        if record_block is not None:
+            monkeypatch.setattr(harness, "RECORD_BLOCK", record_block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_experiment(cfg).traces
+
+    @staticmethod
+    def assert_matches(traces, reference, rtol):
+        assert sorted(t.run_id for t in traces) == sorted(reference)
+        for trace in traces:
+            status, _, expected = reference[trace.run_id]
+            assert trace.status == status, trace.run_id
+            assert trace.records.index.tolist() == expected.index.tolist()
+            assert trace.records.time.tolist() == expected.time.tolist()
+            for name in STATS:
+                if rtol:
+                    np.testing.assert_allclose(trace.records[name], expected[name], rtol=rtol)
+                else:
+                    assert trace.records[name].tobytes() == expected[name].tobytes(), name
+
+    @pytest.mark.parametrize("record_block", [4, None])
+    @pytest.mark.parametrize("rows_per_group", [1, 2, None])
+    @pytest.mark.parametrize("problem, methods", [
+        ({"name": "quadratic_diag", "params": {"coeffs": [0.5, 0.1]}},
+         [{"name": "memsgd", "params": {"p": 2.0, "eta": 0.5}},
+          {"name": "adam", "params": {"eta": 0.05}}]),
+        ({"name": "quadratic_diag", "params": {"coeffs": [0.5, 0.1]},
+          "noise": {"kind": "gaussian", "sigma": 0.3}},
+         [{"name": "sgd", "params": {"eta": 0.5}},
+          {"name": "hb", "params": {"eta": 0.5, "beta": 0.8}},
+          {"name": "adagrad", "params": {"eta": 0.1}}]),
+        ({"name": "quadratic_diag", "params": {"coeffs": [0.5, 0.1, 0.2]},
+          "noise": {"kind": "gaussian", "sigma": [[0.3, 0.1, 0.0], [0.0, 0.2, 0.1],
+                                                  [0.1, 0.0, 0.4]]}},
+         [{"name": "unbiased_hb", "params": {"eta": 0.5, "beta": 0.8}},
+          {"name": "adamnc", "params": {"eta": 0.05}},
+          {"name": "polyadam", "params": {"eta": 0.05, "p2": 2.0}}]),
+        # Finite sums with margins past exp's overflow: the component weight is
+        # 0.  At the default group and RECORD_BLOCK 4, one record block holds a
+        # lone row, whose BLAS-reduced record must match a block's.
+        ({"name": "logistic_synthetic", "params": {"n": 50, "dim": 4, "seed": 0},
+          "noise": {"kind": "finite_sum"}},
+         [{"name": "sgd", "params": {"eta": 1e5}}, {"name": "adam", "params": {"eta": 0.05}}]),
+    ], ids=["none", "scalar-sigma", "matrix-sigma", "finite-sum"])
+    def test_runs_match_runs_stepped_alone(self, monkeypatch, problem, methods,
+                                           rows_per_group, record_block):
+        d = len(problem["params"].get("coeffs", [])) or problem["params"]["dim"]
+        cfg = small_config(problem=problem, methods=methods, master_seed=5,
+                           run={"kind": "optimize", "iterations": 40, "x0": [0.5] * d,
+                                "n_seeds": 3, "record_stride": 3})
+        reference = reference_optimize(cfg)
+        traces = self.run_grouped(monkeypatch, cfg, rows_per_group, record_block)
+        assert all(t.status == "completed" for t in traces)
+        self.assert_matches(traces, reference, rtol=0)
+
+    @pytest.mark.parametrize("record_block", [5, None])
+    @pytest.mark.parametrize("rows_per_group", [1, 4, None])
+    def test_rows_diverge_and_overflow_at_their_own_steps(self, monkeypatch, rows_per_group,
+                                                          record_block):
+        # SGD on the quartic under heavy noise: a seed whose walk passes
+        # |x| ~ 8 blows up in a few steps.  Its iterate overflows between
+        # stride-4 records, or a record on the way overflows f_gap while the
+        # iterate is still finite.  Quartic's x**3 on an array differs in the
+        # last bit from x**3 on a scalar, so the columns match to 1e-12.
+        cfg = small_config(
+            problem={"name": "quartic_2d", "noise": {"kind": "gaussian", "sigma": 250.0}},
+            methods=[{"name": "sgd", "params": {"eta": 0.01}},
+                     {"name": "unbiased_hb", "params": {"eta": 0.01, "beta": 0.5}}],
+            run={"kind": "optimize", "iterations": 150, "x0": [0.0, 0.0], "n_seeds": 6,
+                 "record_stride": 4},
+            master_seed=0,
+        )
+        reference = reference_optimize(cfg)
+        sgd = [reference[f"sgd(eta=0.01)|seed={seed}"] for seed in range(6)]
+        iterate_steps = {status for status, cause, _ in sgd if cause == "iterate"}
+        assert len(iterate_steps) >= 2
+        assert any(cause == "record" for _, cause, _ in sgd)
+        assert any(cause is None for _, cause, _ in sgd)
+        traces = self.run_grouped(monkeypatch, cfg, rows_per_group, record_block)
+        self.assert_matches(traces, reference, rtol=1e-12)
+
+    def test_record_blocks_hold_at_most_record_block_rows_across_the_group(
+            self, monkeypatch):
+        sizes = []
+
+        def records(obj, indices, times, xs, step_norms):
+            sizes.append(len(xs))
+            return RECORDS(obj, indices, times, xs, step_norms)
+
+        RECORDS = harness._records
+        monkeypatch.setattr(harness, "_records", records)
+        cfg = small_config(run=dict(SMALL["run"], n_seeds=40))  # 11 records a run
+        traces = run_experiment(cfg).traces
+        assert sum(len(t.records) for t in traces) == 2 * 40 * 11
+        assert sizes == 2 * ([RECORD_BLOCK] * 6 + [40 * 11 - 6 * RECORD_BLOCK])
+
+
 class TestSimulateDivergence:
     def test_reported_at_the_grid_step(self):
         # Frictionless explicit Euler on a stiff quadratic grows about

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from memgrad import harness
 from memgrad.harness import PROBLEMS
 from memgrad.problems import (
     NoiseModel,
@@ -17,7 +19,6 @@ from memgrad.problems import (
     empirical_gradient_covariance,
     gradient_variance_bound,
     logistic_synthetic,
-    noise_draws,
     quadratic_diag,
     quartic_2d,
     stochastic_gradient,
@@ -331,11 +332,12 @@ class TestStochasticGradient:
 
     @settings(deadline=None, max_examples=50)
     @given(kind=st.sampled_from(["none", "scalar", "matrix", "finite_sum"]),
-           seed=st.integers(0, 2**64 - 1), d=st.integers(1, 5), steps=st.integers(0, 30),
-           block=st.integers(1, 12))
-    def test_block_draws_give_the_per_step_gradients(self, kind, seed, d, steps, block):
-        # A block of draws crosses block boundaries at every step count, and
-        # each step gets the bits of a gradient drawn alone from the stream.
+           seed=st.integers(0, 2**64 - 1), d=st.integers(1, 5), n=st.integers(1, 4),
+           steps=st.integers(0, 30), block=st.integers(1, 12))
+    def test_block_draws_give_the_per_step_gradients(self, kind, seed, d, n, steps, block):
+        # Each row's noise is drawn a block of steps at a time, crossing block
+        # boundaries at every step count, and each row of a batched gradient
+        # gets the bits of a gradient drawn alone from that row's stream.
         sigma = np.random.default_rng(d).standard_normal((d, d))
         obj, noise = {
             "none": (quadratic_diag(np.ones(d)), NoiseModel("none")),
@@ -343,12 +345,18 @@ class TestStochasticGradient:
             "matrix": (quadratic_diag(np.ones(d)), NoiseModel("gaussian", sigma=sigma)),
             "finite_sum": (logistic_synthetic(n=7, dim=d, seed=0), NoiseModel("finite_sum")),
         }[kind]
-        x = np.linspace(-1.0, 1.0, d)
-        rng = np.random.Generator(np.random.Philox(seed))
-        alone = [stochastic_gradient(obj, noise, x, rng) for _ in range(steps)]
-        draws = noise_draws(obj, noise, np.random.Generator(np.random.Philox(seed)), steps,
-                            block)
-        blocked = [stochastic_gradient(obj, noise, x, draw) for draw in draws]
+        xs = np.linspace(-1.0, 1.0, n * d).reshape(n, d)
+
+        def streams():
+            return [np.random.Generator(np.random.Philox([seed, row])) for row in range(n)]
+
+        rngs = streams()
+        alone = [np.array([stochastic_gradient(obj, noise, x, rng) for x, rng in zip(xs, rngs)])
+                 for _ in range(steps)]
+        with mock.patch.object(harness, "NOISE_BLOCK", block):
+            draw = (lambda: None) if kind == "none" else harness._row_noise(
+                streams(), d, obj.n_components if kind == "finite_sum" else None, steps)
+            blocked = [stochastic_gradient(obj, noise, xs, draw()) for _ in range(steps)]
         assert [g.tobytes() for g in blocked] == [g.tobytes() for g in alone]
 
 
