@@ -234,6 +234,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except harness.ConfigError as err:  # raised before the first run
         raise SystemExit(f"memgrad: {args.config or args.command}: {err}") from None
+    except ValueError as err:
+        if "config" in args:  # a config that loaded failed partway through a run
+            raise
+        raise SystemExit(f"memgrad: {args.command}: {err}") from None
 
 
 if __name__ == "__main__":

@@ -233,12 +233,20 @@ def substep_schedule(spec: SdeSpec, targets, h: float) -> Schedule:
                     np.array(ends), np.array(times))
 
 
+def _output_grid(t0: float, t_end: float, h: float, stride: int = 1) -> np.ndarray:
+    """t0, then t0 + j h at every stride-th grid step j, and t_end."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride!r}")
+    n_steps = max(1, int(round((t_end - t0) / h)))
+    j = np.arange(stride, n_steps, stride)
+    return np.concatenate(([t0], t0 + j * h, [t_end]))
+
+
 def grid_times(spec: SdeSpec, t_end: float, h: float) -> list[float]:
     """The grid eps_start + j h, j = 1, 2, ..., whose last point is t_end."""
     if t_end <= spec.eps_start:
         raise ValueError("t_end must exceed eps_start")
-    n_steps = max(1, int(round((t_end - spec.eps_start) / h)))
-    return [spec.eps_start + j * h for j in range(1, n_steps)] + [t_end]
+    return _output_grid(spec.eps_start, t_end, h)[1:].tolist()
 
 
 def integrate_paths(spec: SdeSpec, x0, v0, targets, h: float, noise=None,
@@ -371,13 +379,6 @@ def variance_ode_rhs(model: str, s, lam: float, sigma2: float) -> tuple[float, f
         -(3.0 * lam / t) * p1 - (3.0 / t) * p2 + p3,
         -(6.0 * lam / t) * p2 - (6.0 / t) * p3 + (9.0 / t**2) * sigma2,
     )
-
-
-def _output_grid(t0: float, t_end: float, h: float, stride: int) -> np.ndarray:
-    """t0, then t0 + j h at every stride-th grid step j, and t_end."""
-    n_steps = max(1, int(round((t_end - t0) / h)))
-    j = np.arange(stride, n_steps, stride)
-    return np.concatenate(([t0], t0 + j * h, [t_end]))
 
 
 # The Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, "Solving Ordinary
@@ -583,6 +584,8 @@ def warp_equivalence_check(
     X_hb(t) over the grid of spacing h * max(1, round(1e-4 / h)) in
     [compare_from, t_end].
     """
+    if not h > 0.0:
+        raise ValueError(f"h must be > 0, got {h!r}")
     x0 = np.ones(objective.dim) if x0 is None else np.asarray(x0, dtype=float)
     d = x0.size
     mg = memory_sde(objective.grad, d, MemoryFunction.polynomial(p), eps_start=eps_start)

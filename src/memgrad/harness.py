@@ -3,10 +3,12 @@
 A config is a plain JSON-shaped document (see :class:`ExperimentConfig`);
 every grid entry expands to a concrete method whose seeds run together:
 an optimize method's step in groups as one (n, d) batch, a simulate
-method's integrate as one batch of paths.  Every run draws its noise
-from a counter-based substream keyed by the run id, and results are
-reduced in a fixed order, so a (config, master seed) pair maps to
-byte-identical output whatever the grouping.
+method's integrate as one batch of paths.  Both kinds end in one trace
+builder, given an (R, n) block of records, the R recorded steps and the
+step at which each row's state stopped being finite.  Every run draws
+its noise from a counter-based substream keyed by the run id, and
+results are reduced in a fixed order, so a (config, master seed) pair
+maps to byte-identical output whatever the grouping.
 """
 
 from __future__ import annotations
@@ -432,30 +434,50 @@ NOISE_BLOCK = 1 << 16
 STEP_BLOCK = 1 << 12
 
 
-def _records(obj, indices, times, xs, step_norms) -> tuple[np.recarray, np.ndarray]:
-    """Records of the rows of xs, with f_gap and the gradient norm evaluated in
-    one batched call, and which of them overflow: an inf f_gap, or a gradient
-    or step norm that is not finite (an overflowing trajectory, even if the
-    iterate is finite).  A NaN f_gap is kept.
+def _records(obj, indices, times, xs, step_norms) -> np.recarray:
+    """The records of the iterates xs, shape (..., d), one per iterate, with
+    f_gap and the gradient norm evaluated in one batched call; indices,
+    times and step_norms broadcast to xs.shape[:-1].
 
-    A lone row is evaluated beside a copy of itself: a one-row product takes
-    BLAS's matrix-vector path, which sums in another order than the
+    A lone iterate is evaluated beside a copy of itself: a one-row product
+    takes BLAS's matrix-vector path, which sums in another order than the
     matrix-matrix path of a block, so its record would depend on its block.
     """
-    xs = np.asarray(xs, dtype=float)
-    n = len(xs)
-    batch = np.concatenate([xs, xs]) if n == 1 else xs
-    records = np.recarray(n, dtype=RECORD_DTYPE)
+    records = np.recarray(xs.shape[:-1], dtype=RECORD_DTYPE)
     records.index, records.time, records.step_norm = indices, times, step_norms
+    batch = xs.reshape(-1, xs.shape[-1])
+    n = len(batch)
+    batch = np.concatenate([batch, batch]) if n == 1 else batch
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            records.f_gap = obj.f_gap(batch)[:n]
+            records.f_gap = obj.f_gap(batch)[:n].reshape(records.shape)
         except ValueError:
             records.f_gap = np.nan
         records.grad_norm = np.linalg.norm(
-            np.broadcast_to(obj.grad(batch), batch.shape)[:n], axis=-1)
-    return records, (np.isinf(records.f_gap) | ~np.isfinite(records.grad_norm)
-                     | ~np.isfinite(records.step_norm))
+            np.broadcast_to(obj.grad(batch), batch.shape)[:n], axis=-1).reshape(records.shape)
+    return records
+
+
+def _traces(label, seeds, records, steps, stopped) -> list[Trace]:
+    """One Trace per seed from the (R, n) records of n runs at the R recorded
+    steps, column i the run of seeds[i]; stopped[i] is the step at which
+    that run's state stopped being finite, 0 if it did not.
+
+    A run keeps its records before its first overflowing one: an inf f_gap,
+    or a gradient or step norm that is not finite (an overflowing
+    trajectory even if the state is finite, or a state no longer stepped);
+    a NaN f_gap, from an objective without an optimal value, is kept.
+    It ends ``diverged@k`` at the earlier of that record's step and the
+    step its state stopped at, or ``completed``.
+    """
+    bad = (np.isinf(records.f_gap) | ~np.isfinite(records.grad_norm)
+           | ~np.isfinite(records.step_norm))
+    cut = np.where(bad.any(axis=0), bad.argmax(axis=0), len(records))
+    ends = np.minimum(np.append(steps, np.inf)[cut], np.where(stopped > 0, stopped, np.inf))
+    return [Trace(run_id=f"{label}|seed={seed}", method=label, seed=seed,
+                  records=records[:stop, row],
+                  status="completed" if end == math.inf else f"diverged@{int(end)}")
+            for row, (seed, stop, end) in enumerate(zip(seeds, cut.tolist(), ends.tolist()))]
 
 
 def _row_noise(rngs, d: int, components: int | None = None, steps: int | None = None):
@@ -478,10 +500,10 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
 
     Each step draws every row's noise from its own run's substream, takes
     one batched stochastic gradient and one stepper call per live row, and
-    freezes a row whose new iterate is not finite as ``diverged@k``.
-    Recorded iterates wait in one queue across the group and are evaluated
-    RECORD_BLOCK at a time.  A run stops at its first overflowing record,
-    which it leaves out and reports as ``diverged@index``.
+    stops stepping a row whose new iterate is not finite.  The iterates of
+    whole recorded steps are held, NaN on rows no longer stepping, and
+    evaluated max(1, RECORD_BLOCK // n) steps at a time; ``_traces`` cuts
+    each run at its divergence.
     """
     run_ids = [f"{label}|seed={seed}" for seed in seeds]
     iterations = int(run_cfg["iterations"])
@@ -494,111 +516,68 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
         obj.n_components if noise.kind == "finite_sum" else None, iterations)
     states = [optimizers.OptimizerState.initial(x0) for _ in run_ids]
     live, xs = np.arange(n), np.tile(x0, (n, 1))  # the rows still stepping, their iterates
-    status, zero = ["completed"] * n, np.zeros(xs.size)
-    pending, done = [], []  # (rows, indices, iterates, step norms); (rows, records, overflow)
-
-    def flush():  # evaluate the queue; the rows that overflowed
-        rows, indices, iterates, step_norms = (np.concatenate(part) for part in zip(*pending))
-        pending.clear()
-        records, bad = _records(obj, indices, indices, iterates, step_norms)
-        done.append((rows, records, bad))
-        return rows[bad].tolist()
-
-    def record(k, step_norms):  # queue the live rows at step k; the rows that overflowed
-        overflowed, start = [], 0
-        while start < len(live):
-            end = start + RECORD_BLOCK - sum(len(chunk[0]) for chunk in pending)
-            rows = live[start:end]
-            pending.append((rows, np.full(len(rows), k), xs[start:end], step_norms[start:end]))
-            if end <= len(live):  # the queue holds RECORD_BLOCK rows
-                overflowed += flush()
-            start = end
-        return overflowed
-
-    def drop(keep):  # stop stepping the rows not kept
-        nonlocal live, xs, states
-        live, xs = live[keep], xs[keep]
-        states = list(itertools.compress(states, keep.tolist()))
-
-    overflowed = record(0, np.zeros(n))
+    stopped, zero, step_norms = np.zeros(n, dtype=int), np.zeros(xs.size), np.zeros(n)
+    steps = np.append(np.arange(0, iterations, stride), iterations)  # the recorded steps
+    # The iterates and step norms of the recorded steps that one _records call evaluates.
+    held = np.empty((min(max(1, RECORD_BLOCK // n), steps.size), n, obj.dim))
+    norms, blocks, k = np.empty(held.shape[:2]), [], 0
     # Steppers do not check finiteness, and each turns a non-finite gradient
     # into a non-finite iterate: a run diverges at the step whose new iterate
     # is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, iterations + 1):
-            if overflowed:
-                drop(~np.isin(live, overflowed))
+        for r, end in enumerate(steps.tolist()):
+            while k < end and live.size:
+                k += 1
+                noise_k = draw()
+                grads = problems.stochastic_gradient(obj, noise, xs, noise_k if noise_k is None
+                                                     or len(live) == n else noise_k[live])
+                states = [stepper(state, g, **params) for state, g in zip(states, grads)]
+                # A lone row is viewed, not copied: at large d a group holds one seed,
+                # and a copy per step would make it slower than a run stepped alone.
+                new = (np.array([state.x for state in states]) if len(states) > 1
+                       else states[0].x[None])
+                if k == end:
+                    step_norms = np.sqrt([dx.dot(dx) for dx in new - xs])
+                xs = new
+                if math.isnan(new.ravel().dot(zero[:new.size])):  # NaN iff one is not finite
+                    keep = np.isfinite(new).all(axis=1)
+                    stopped[live[~keep]] = k
+                    live, xs, step_norms = live[keep], xs[keep], step_norms[keep]
+                    states = list(itertools.compress(states, keep.tolist()))
+            slot = r % len(held)
+            held[slot] = norms[slot] = np.nan
+            held[slot, live], norms[slot, live] = xs, step_norms
+            if slot + 1 == len(held) or r + 1 == steps.size or not live.size:
+                done = steps[r - slot:r + 1, None]
+                blocks.append(_records(obj, done, done, held[:slot + 1], norms[:slot + 1]))
             if not live.size:
                 break
-            noise_k = draw()
-            grads = problems.stochastic_gradient(
-                obj, noise, xs, noise_k if noise_k is None or len(live) == n else noise_k[live])
-            states = [stepper(state, g, **params) for state, g in zip(states, grads)]
-            # A lone row is viewed, not copied: at large d a group holds one seed,
-            # and a copy per step would make it slower than a run stepped alone.
-            new = np.array([state.x for state in states]) if len(states) > 1 else states[0].x[None]
-            recorded = k % stride == 0 or k == iterations
-            if recorded:
-                step_norms = np.sqrt([dx.dot(dx) for dx in new - xs])
-            xs = new
-            if math.isnan(new.ravel().dot(zero[:new.size])):  # NaN iff an entry is not finite
-                keep = np.isfinite(new).all(axis=1)
-                for row in live[~keep].tolist():
-                    status[row] = f"diverged@{k}"
-                drop(keep)
-                if recorded:
-                    step_norms = step_norms[keep]
-            overflowed = record(k, step_norms) if recorded else []
-    if pending:
-        flush()
-    rows, records, bad = (np.concatenate(parts) for parts in zip(*done))
-    order = np.argsort(rows, kind="stable")  # each run's records stay in index order
-    records, bad = records[order].view(np.recarray), bad[order]
-    bounds = np.searchsorted(rows[order], np.arange(n + 1)).tolist()
-    traces = []
-    for row, (run_id, seed) in enumerate(zip(run_ids, seeds)):
-        run = slice(bounds[row], bounds[row + 1])
-        run_records = records[run]
-        if bad[run].any():  # every record precedes the step the iterate diverged at
-            stop = int(np.argmax(bad[run]))
-            status[row] = f"diverged@{run_records.index[stop]}"
-            run_records = run_records[:stop]
-        traces.append(Trace(run_id=run_id, method=label, seed=seed, records=run_records,
-                            status=status[row]))
-    return traces
+    records = np.concatenate(blocks).view(np.recarray)
+    return _traces(label, seeds, records, steps[:len(records)], stopped)
 
 
 def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, seeds):
     """Every seed of one method, integrated together as one batch of paths;
-    each path's noise comes from its own run's substream."""
-    run_ids = [f"{label}|seed={seed}" for seed in seeds]
+    each path's noise comes from its own run's substream.  A record's index
+    counts the run's records, and its step norm is the distance from the
+    run's previous record."""
     build, kwargs = _method_call("simulate", name, params)
     spec = build(obj.grad, obj.dim, eps_start=float(run_cfg.get("eps_start", EPS_START)),
                  **kwargs)
     x0 = np.asarray(run_cfg["x0"], dtype=float)
     v0 = np.asarray(run_cfg.get("v0", np.zeros_like(x0)), dtype=float)
-    h = float(run_cfg["h"])
-    draw = _row_noise([_run_rng(master_seed, run_id) for run_id in run_ids], x0.size)
-    times, positions, _, diverged = continuum.integrate_paths(
-        spec, x0, v0, continuum.grid_times(spec, float(run_cfg["t_end"]), h), h, draw,
-        len(run_ids), record_stride=int(run_cfg.get("record_stride", 1)),
-    )
-    traces = []
-    for run_id, seed, xs, j in zip(run_ids, seeds, positions.swapaxes(0, 1),
-                                   diverged.tolist()):
-        finite = np.isfinite(xs).all(axis=-1)  # the records before any divergence
-        xs = xs[finite]
-        with np.errstate(over="ignore", invalid="ignore"):
-            step_norms = np.linalg.norm(np.diff(xs, axis=0, prepend=xs[:1]), axis=-1)
-        records, bad = _records(obj, range(len(xs)), times[finite], xs, step_norms)
-        status = f"diverged@{j}" if j else "completed"
-        if bad.any():  # every record precedes an integration failure
-            stop = int(np.argmax(bad))
-            status = f"diverged@{round((times[stop] - spec.eps_start) / h)}"
-            records = records[:stop]
-        traces.append(Trace(run_id=run_id, method=label, seed=seed, records=records,
-                            status=status))
-    return traces
+    h, stride = float(run_cfg["h"]), int(run_cfg.get("record_stride", 1))
+    targets = continuum.grid_times(spec, float(run_cfg["t_end"]), h)
+    draw = _row_noise([_run_rng(master_seed, f"{label}|seed={seed}") for seed in seeds],
+                      x0.size)
+    times, positions, _, stopped = continuum.integrate_paths(
+        spec, x0, v0, targets, h, draw, len(seeds), record_stride=stride)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_norms = np.linalg.norm(np.diff(positions, axis=0, prepend=positions[:1]), axis=-1)
+    records = _records(obj, np.arange(len(times))[:, None], times[:, None], positions,
+                       step_norms)
+    steps = np.append(np.arange(0, len(targets), stride), len(targets))  # the recorded steps
+    return _traces(label, seeds, records, steps, stopped)
 
 
 def _check_against_objective(config: ExperimentConfig, obj: problems.Objective) -> None:
@@ -655,8 +634,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     max(1, STEP_BLOCK // d) seeds, each stepped as one (n, d) batch, and a
     simulate method's as one batch of paths.  Each run derives its own RNG
     substream from its run id, so the result set does not depend on run
-    order or grouping.  A run that diverges is recorded up to its failure
-    index and never aborts the batch.  Before the first run, the config is
+    order or grouping.  A run that diverges keeps its records before its
+    first overflowing one, ends ``diverged@k`` at the earlier of that
+    record's step and the step its state stopped being finite, and never
+    aborts the batch.  Before the first run, the config is
     validated, its objective built, and x0, the noise and each declared
     bound checked against the objective; a ValueError there is raised as
     ConfigError.

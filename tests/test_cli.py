@@ -412,6 +412,30 @@ class TestConfigThatDoesNotFitItsObjective:
         assert not isinstance(exc.value, harness.ConfigError)
 
 
+class TestBadFlagValues:
+    """A flag value a command without a config cannot use ends it with one
+    line naming the command, before any file is written."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["warp", "--h", "0"], "h must be > 0, got 0.0"),
+        (["warp", "--h", "-1"], "h must be > 0, got -1.0"),
+        (["warp", "--p", "1"], "the time change needs p > 1"),
+        (["warp", "--coeffs", "a,b"], "could not convert string to float: 'a'"),
+        (["variance-ode", "--model", "nesterov", "--stride", "0"], "stride must be >= 1, got 0"),
+        (["isometry", "--power", "1", "--paths", "10"], "need at least 1000 paths"),
+    ], ids=["warp-h-zero", "warp-h-negative", "warp-p-one", "warp-coeffs", "variance-ode-stride",
+            "isometry-paths"])
+    def test_one_line_names_the_command(self, tmp_path, argv, message):
+        out = ["--out", str(tmp_path / "out")] if argv[0] != "warp" else []
+        with pytest.raises(SystemExit) as exc:
+            main(argv + out)
+        line = exc.value.code
+        assert isinstance(line, str)  # the interpreter prints it and exits 1
+        assert line.startswith(f"memgrad: {argv[0]}: ") and "\n" not in line
+        assert message in line
+        assert not (tmp_path / "out").exists()
+
+
 class TestRatesThatCannotBeEvaluated:
     """A bound that cannot be tabulated ends ``rates`` with one line naming
     the kind, before any file is written."""

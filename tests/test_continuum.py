@@ -591,6 +591,11 @@ class TestVarianceOde:
         expected = [0.1] + [0.1 + j * 1e-2 for j in range(10, 95, 10)] + [1.05]
         assert [s.t for s in states] == expected
 
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            integrate_variance_ode("nesterov", 0.1, 1.0, 1e-2, 1.0, 1.0, record_stride=stride)
+
     def test_cauchy_schwarz_violating_init_raises(self):
         with pytest.raises(DivergenceError):
             integrate_variance_ode("nesterov", 0.1, 1.0, 1e-3, 1.0, 1.0,
@@ -633,6 +638,11 @@ class TestTimeWarp:
     def test_needs_p_above_one(self):
         with pytest.raises(ValueError):
             time_warp_tau(1.0, 1.0)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0])
+    def test_h_not_positive_rejected(self, h):
+        with pytest.raises(ValueError, match="h must be > 0"):
+            warp_equivalence_check(FIG_QUADRATIC, 2.0, 4.0, h)
 
     def test_linear_memory_warps_onto_nesterov_path(self):
         gap = warp_equivalence_check(FIG_QUADRATIC, 2.0, 4.0, 1e-4)

@@ -583,7 +583,8 @@ class TestSgdDivergence:
 
 
 class TestRecordBlocks:
-    """Optimize runs evaluate their records RECORD_BLOCK iterates at a time."""
+    """Optimize runs evaluate their records max(1, RECORD_BLOCK // n) recorded
+    steps at a time."""
 
     @pytest.mark.parametrize("iterations,stride", [(64, 1), (128, 1), (130, 2), (200, 3)])
     def test_completed_run_keeps_every_record(self, iterations, stride):
@@ -750,7 +751,7 @@ class TestOptimizeLockstep:
                 else:
                     assert trace.records[name].tobytes() == expected[name].tobytes(), name
 
-    @pytest.mark.parametrize("record_block", [4, None])
+    @pytest.mark.parametrize("record_block", [4, 7, None])
     @pytest.mark.parametrize("rows_per_group", [1, 2, None])
     @pytest.mark.parametrize("problem, methods", [
         ({"name": "quadratic_diag", "params": {"coeffs": [0.5, 0.1]}},
@@ -768,8 +769,9 @@ class TestOptimizeLockstep:
           {"name": "adamnc", "params": {"eta": 0.05}},
           {"name": "polyadam", "params": {"eta": 0.05, "p2": 2.0}}]),
         # Finite sums with margins past exp's overflow: the component weight is
-        # 0.  At the default group and RECORD_BLOCK 4, one record block holds a
-        # lone row, whose BLAS-reduced record must match a block's.
+        # 0.  With RECORD_BLOCK 7, a one-seed group evaluates its 15 records 7,
+        # 7 and 1 steps at a time, and the lone row's BLAS-reduced record must
+        # match a block's.
         ({"name": "logistic_synthetic", "params": {"n": 50, "dim": 4, "seed": 0},
           "noise": {"kind": "finite_sum"}},
          [{"name": "sgd", "params": {"eta": 1e5}}, {"name": "adam", "params": {"eta": 0.05}}]),
@@ -811,20 +813,25 @@ class TestOptimizeLockstep:
         traces = self.run_grouped(monkeypatch, cfg, rows_per_group, record_block)
         self.assert_matches(traces, reference, rtol=1e-12)
 
-    def test_record_blocks_hold_at_most_record_block_rows_across_the_group(
-            self, monkeypatch):
-        sizes = []
+    @pytest.mark.parametrize("n_seeds, steps_per_call", [
+        (1, [11]), (3, [11]), (8, [8, 3]), (40, [1] * 11), (150, [1] * 11)],
+        ids=["n1", "n3", "n8", "n40", "n150"])
+    def test_record_calls_take_whole_recorded_steps(self, monkeypatch, n_seeds, steps_per_call):
+        # 11 recorded steps a run; a call holds max(1, RECORD_BLOCK // n) of them at most.
+        calls = []
 
         def records(obj, indices, times, xs, step_norms):
-            sizes.append(len(xs))
+            calls.append((np.shape(xs), np.ravel(indices).tolist()))
             return RECORDS(obj, indices, times, xs, step_norms)
 
         RECORDS = harness._records
         monkeypatch.setattr(harness, "_records", records)
-        cfg = small_config(run=dict(SMALL["run"], n_seeds=40))  # 11 records a run
+        cfg = small_config(run=dict(SMALL["run"], n_seeds=n_seeds))
         traces = run_experiment(cfg).traces
-        assert sum(len(t.records) for t in traces) == 2 * 40 * 11
-        assert sizes == 2 * ([RECORD_BLOCK] * 6 + [40 * 11 - 6 * RECORD_BLOCK])
+        assert sum(len(t.records) for t in traces) == 2 * n_seeds * 11
+        assert [shape for shape, _ in calls] == 2 * [(m, n_seeds, 2) for m in steps_per_call]
+        assert all(m * n <= max(RECORD_BLOCK, n) for (m, n, _), _ in calls)
+        assert sum((steps for _, steps in calls), []) == 2 * list(range(0, 51, 5))
 
 
 class TestSimulateDivergence:
@@ -959,6 +966,35 @@ class TestSimulateLockstep:
         for row, run_id in enumerate(ids):
             rng = harness._run_rng(3, run_id)
             assert np.array_equal(blocks[:, row], [rng.standard_normal(2) for _ in range(5)])
+
+
+class TestTraceBuilder:
+    """Both run kinds end in one builder, which cuts each run before its
+    first overflowing record and reports the earlier of that record's step
+    and the step its state stopped being finite."""
+
+    @pytest.mark.parametrize("kind", ["optimize", "simulate"])
+    def test_status_is_the_earlier_of_record_and_state(self, kind):
+        # Optimize records carry their step; simulate records count
+        # themselves and carry the time eps_start + j h at h = 0.5.
+        steps = np.array([0, 4, 8, 12, 16])  # the recorded steps
+        index = steps if kind == "optimize" else np.arange(steps.size)
+        time = steps if kind == "optimize" else 1.0 + 0.5 * steps
+        records = np.recarray((steps.size, 4), dtype=RECORD_DTYPE)
+        records.index, records.time = index[:, None], time[:, None]
+        records.f_gap = records.grad_norm = records.step_norm = 1.0
+        records.f_gap[:, 0] = np.nan  # an objective with no optimal value: kept
+        records.f_gap[2, 1] = np.inf  # overflows at step 8, the state stops at 14
+        records[3:, 2].grad_norm = records[3:, 2].step_norm = np.nan  # stops at 10
+        records[0, 3].step_norm = np.inf  # overflows at step 0, never stops
+        stopped = np.array([0, 14, 10, 0])
+        traces = harness._traces("m", range(4), records, steps, stopped)
+        assert [t.status for t in traces] == ["completed", "diverged@8", "diverged@10",
+                                              "diverged@0"]
+        assert [len(t.records) for t in traces] == [5, 2, 3, 0]
+        for row, trace in enumerate(traces):
+            assert trace.run_id == f"m|seed={row}" and trace.seed == row
+            assert trace.records.tobytes() == records[:len(trace.records), row].tobytes()
 
 
 def reference_aggregates(traces) -> dict[str, dict[str, np.ndarray]]:
