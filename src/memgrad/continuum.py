@@ -70,6 +70,13 @@ CS_TOL = 1e-9
 SUBSTEP_CAP = 0.25
 
 
+def _check_finite(**values: float) -> None:
+    """Raise ValueError naming the first of the values that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class DivergenceError(RuntimeError):
     """Integration produced non-finite state; carries the first bad time."""
 
@@ -270,6 +277,7 @@ def integrate_paths(spec: SdeSpec, x0, v0, targets, h: float, noise=None,
     record = [j % record_stride == 0 or j == len(targets) for j in range(1, len(targets) + 1)]
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, np.size(x0))).copy()
     v = np.broadcast_to(np.asarray(v0, dtype=float), x.shape).copy()
+    zero = np.zeros(x.size)
     xs = np.full((1 + sum(record),) + x.shape, np.nan)
     vs = np.full_like(xs, np.nan)
     xs[0], vs[0] = x, v
@@ -283,7 +291,8 @@ def integrate_paths(spec: SdeSpec, x0, v0, targets, h: float, noise=None,
                 xi = None if noise is None else noise()
                 xi = xi if xi is None or live.size == n_paths else xi[live]
                 _em_update(spec, x, v, h, fric, gscale, xi)
-            if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            # A dot product with zeros is NaN iff an entry is not finite.
+            if math.isnan(x.ravel().dot(zero[:x.size]) + v.ravel().dot(zero[:x.size])):
                 ok = np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1)
                 diverged[live[~ok]] = j
                 live, x, v = live[ok], x[ok], v[ok]
@@ -326,6 +335,7 @@ def ito_isometry_mc(
     variance with its standard error (the closed-form target is
     t**(2p+1)/(2p+1)).
     """
+    _check_finite(p=p, t=t, h=h)
     if p < 0.0 or t <= 0.0 or h <= 0.0:
         raise ValueError("need p >= 0, t > 0, h > 0")
     if n_paths < 10**3:
@@ -536,8 +546,11 @@ def integrate_variance_ode(
     p2**2 <= p1 p3 up to ``CS_TOL`` (scaled by the moment magnitude); the
     first one that does not, or a solver failure, raises DivergenceError.
     """
+    _check_finite(t0=t0, t_end=t_end, h=h, lam=lam, sigma2=sigma2)
     if t0 <= 0.0 or t_end <= t0 or h <= 0.0:
         raise ValueError("need 0 < t0 < t_end and h > 0")
+    if sigma2 < 0.0:
+        raise ValueError(f"sigma2 must be >= 0, got {sigma2!r}")
 
     def rhs(t, y):
         return np.array(variance_ode_rhs(model, (t, *y), lam, sigma2))
@@ -584,8 +597,11 @@ def warp_equivalence_check(
     X_hb(t) over the grid of spacing h * max(1, round(1e-4 / h)) in
     [compare_from, t_end].
     """
+    _check_finite(p=p, t_end=t_end, h=h)
     if not h > 0.0:
         raise ValueError(f"h must be > 0, got {h!r}")
+    if not compare_from <= t_end:
+        raise ValueError(f"compare_from must be <= t_end = {t_end!r}, got {compare_from!r}")
     x0 = np.ones(objective.dim) if x0 is None else np.asarray(x0, dtype=float)
     d = x0.size
     mg = memory_sde(objective.grad, d, MemoryFunction.polynomial(p), eps_start=eps_start)

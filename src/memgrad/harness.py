@@ -3,12 +3,13 @@
 A config is a plain JSON-shaped document (see :class:`ExperimentConfig`);
 every grid entry expands to a concrete method whose seeds run together:
 an optimize method's step in groups as one (n, d) batch, a simulate
-method's integrate as one batch of paths.  Both kinds end in one trace
-builder, given an (R, n) block of records, the R recorded steps and the
-step at which each row's state stopped being finite.  Every run draws
-its noise from a counter-based substream keyed by the run id, and
-results are reduced in a fixed order, so a (config, master seed) pair
-maps to byte-identical output whatever the grouping.
+method's integrate as one batch of paths.  Both kinds hold the (R, n, d)
+iterates of their R recorded steps whole, evaluate them in one batched
+record call, and end in one trace builder, given the (R, n) records, the
+recorded steps and the step at which each row's state stopped being
+finite.  Every run draws its noise from a counter-based substream keyed
+by the run id, and results are reduced in a fixed order, so a (config,
+master seed) pair maps to byte-identical output whatever the grouping.
 """
 
 from __future__ import annotations
@@ -424,8 +425,6 @@ def _run_rng(master_seed: int, run_id: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Iterates an optimize group evaluates per batched record call; bounds memory at large d.
-RECORD_BLOCK = 64
 # Noise values an optimize group, or a simulate batch, draws per block; bounds memory
 # at large n x d.
 NOISE_BLOCK = 1 << 16
@@ -500,10 +499,10 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
 
     Each step draws every row's noise from its own run's substream, takes
     one batched stochastic gradient and one stepper call per live row, and
-    stops stepping a row whose new iterate is not finite.  The iterates of
-    whole recorded steps are held, NaN on rows no longer stepping, and
-    evaluated max(1, RECORD_BLOCK // n) steps at a time; ``_traces`` cuts
-    each run at its divergence.
+    stops stepping a row whose new iterate is not finite.  The iterates and
+    step norms of the recorded steps are held whole, NaN on rows no longer
+    stepping, and evaluated in one ``_records`` call, as a simulate batch's
+    are; ``_traces`` cuts each run at its divergence.
     """
     run_ids = [f"{label}|seed={seed}" for seed in seeds]
     iterations = int(run_cfg["iterations"])
@@ -518,9 +517,8 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
     live, xs = np.arange(n), np.tile(x0, (n, 1))  # the rows still stepping, their iterates
     stopped, zero, step_norms = np.zeros(n, dtype=int), np.zeros(xs.size), np.zeros(n)
     steps = np.append(np.arange(0, iterations, stride), iterations)  # the recorded steps
-    # The iterates and step norms of the recorded steps that one _records call evaluates.
-    held = np.empty((min(max(1, RECORD_BLOCK // n), steps.size), n, obj.dim))
-    norms, blocks, k = np.empty(held.shape[:2]), [], 0
+    # The iterates and step norms at the recorded steps, NaN where a row no longer steps.
+    held, norms, k = np.full((steps.size, n, obj.dim), np.nan), np.full((steps.size, n), np.nan), 0
     # Steppers do not check finiteness, and each turns a non-finite gradient
     # into a non-finite iterate: a run diverges at the step whose new iterate
     # is not finite.
@@ -544,16 +542,11 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
                     stopped[live[~keep]] = k
                     live, xs, step_norms = live[keep], xs[keep], step_norms[keep]
                     states = list(itertools.compress(states, keep.tolist()))
-            slot = r % len(held)
-            held[slot] = norms[slot] = np.nan
-            held[slot, live], norms[slot, live] = xs, step_norms
-            if slot + 1 == len(held) or r + 1 == steps.size or not live.size:
-                done = steps[r - slot:r + 1, None]
-                blocks.append(_records(obj, done, done, held[:slot + 1], norms[:slot + 1]))
+            held[r, live], norms[r, live] = xs, step_norms
             if not live.size:
                 break
-    records = np.concatenate(blocks).view(np.recarray)
-    return _traces(label, seeds, records, steps[:len(records)], stopped)
+    records = _records(obj, steps[:, None], steps[:, None], held, norms)
+    return _traces(label, seeds, records, steps, stopped)
 
 
 def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, seeds):
@@ -632,13 +625,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     The seeds of a method run together: an optimize method's in groups of
     max(1, STEP_BLOCK // d) seeds, each stepped as one (n, d) batch, and a
-    simulate method's as one batch of paths.  Each run derives its own RNG
-    substream from its run id, so the result set does not depend on run
-    order or grouping.  A run that diverges keeps its records before its
-    first overflowing one, ends ``diverged@k`` at the earlier of that
-    record's step and the step its state stopped being finite, and never
-    aborts the batch.  Before the first run, the config is
-    validated, its objective built, and x0, the noise and each declared
+    simulate method's as one batch of paths.  Either holds the iterates of
+    its recorded steps whole and evaluates their records in one call.  Each
+    run derives its own RNG substream from its run id, so the result set
+    does not depend on run order or grouping.  A run that diverges keeps
+    its records before its first overflowing one, ends ``diverged@k`` at
+    the earlier of that record's step and the step its state stopped being
+    finite, and never aborts the batch.  Before the first run, the config
+    is validated, its objective built, and x0, the noise and each declared
     bound checked against the objective; a ValueError there is raised as
     ConfigError.
     """

@@ -280,5 +280,7 @@ class BoundSpec:
         return args
 
     def evaluate(self, index: float) -> float:
-        """Bound value at iteration count or time ``index``."""
+        """Bound value at iteration count or time ``index``, which must be finite."""
+        if not math.isfinite(index):
+            raise ValueError(f"{BOUND_KINDS[self.kind].index} must be finite, got {index!r}")
         return self._formula()(**self._arguments(float(index)))

@@ -423,8 +423,21 @@ class TestBadFlagValues:
         (["warp", "--coeffs", "a,b"], "could not convert string to float: 'a'"),
         (["variance-ode", "--model", "nesterov", "--stride", "0"], "stride must be >= 1, got 0"),
         (["isometry", "--power", "1", "--paths", "10"], "need at least 1000 paths"),
+        # Values that would reach the solver or numpy and end in a traceback,
+        # numpy's message or NaN rows.
+        (["variance-ode", "--model", "nesterov", "--sigma2", "-1"],
+         "sigma2 must be >= 0, got -1.0"),
+        (["variance-ode", "--model", "nesterov", "--lam", "nan"], "lam must be finite, got nan"),
+        (["variance-ode", "--model", "nesterov", "--t-end", "nan"],
+         "t_end must be finite, got nan"),
+        (["isometry", "--power", "1", "--t", "nan"], "t must be finite, got nan"),
+        (["isometry", "--power", "nan"], "p must be finite, got nan"),
+        (["warp", "--compare-from", "10"], "compare_from must be <= t_end = 4.0, got 10.0"),
+        (["warp", "--compare-from", "nan"], "compare_from must be <= t_end = 4.0, got nan"),
     ], ids=["warp-h-zero", "warp-h-negative", "warp-p-one", "warp-coeffs", "variance-ode-stride",
-            "isometry-paths"])
+            "isometry-paths", "variance-ode-sigma2-negative", "variance-ode-lam-nan",
+            "variance-ode-t-end-nan", "isometry-t-nan", "isometry-power-nan",
+            "warp-compare-from-past-t-end", "warp-compare-from-nan"])
     def test_one_line_names_the_command(self, tmp_path, argv, message):
         out = ["--out", str(tmp_path / "out")] if argv[0] != "warp" else []
         with pytest.raises(SystemExit) as exc:
@@ -446,7 +459,9 @@ class TestRatesThatCannotBeEvaluated:
         ('{"p": 2, "d": 1', "1", "Expecting"),
         ("[2, 1, 1]", "1", "--params must be a JSON object"),
         ('{"p": 2, "d": 1, "dist2": 1}', "1,x", "could not convert string to float"),
-    ], ids=["t-zero", "unknown-param", "not-json", "not-an-object", "bad-index"])
+        ('{"p": 2, "d": 1, "dist2": 1}', "1,nan", "t must be finite, got nan"),
+    ], ids=["t-zero", "unknown-param", "not-json", "not-an-object", "bad-index",
+            "nan-index"])
     def test_one_line_names_the_kind(self, tmp_path, params, indices, message):
         with pytest.raises(SystemExit) as exc:
             main(["rates", "--kind", "poly_continuous", "--params", params,

@@ -750,9 +750,11 @@ class TestDop853:
         assert got.hex() == scipy_warp_gap(solve_ivp, objective, p, 4.0, h).hex()
 
     def test_non_finite_variance_rhs_raises_at_t0(self):
-        # scipy's solver takes a NaN first step and rejects it forever.
+        # scipy's solver takes a NaN first step and rejects it forever.  A NaN
+        # lam or sigma2 is rejected before the solve, so the start is NaN.
         with pytest.raises(DivergenceError) as info:
-            integrate_variance_ode("nesterov", 0.1, 1.0, 1e-3, float("nan"), 1.0)
+            integrate_variance_ode("nesterov", 0.1, 1.0, 1e-3, 1.0, 1.0,
+                                   init=(float("nan"), 0.0, 0.0))
         assert info.value.time == 0.1
         assert str(info.value) == ("variance ODE solver stopped at t = 0.1: Required step "
                                    "size is less than spacing between numbers.")

@@ -21,7 +21,6 @@ from memgrad.harness import (
     AGGREGATE_DTYPE,
     METHODS,
     PROBLEMS,
-    RECORD_BLOCK,
     RECORD_DTYPE,
     STATS,
     ExperimentConfig,
@@ -583,8 +582,9 @@ class TestSgdDivergence:
 
 
 class TestRecordBlocks:
-    """Optimize runs evaluate their records max(1, RECORD_BLOCK // n) recorded
-    steps at a time."""
+    """Optimize runs hold every recorded step and evaluate them in one call;
+    runs of more than 64 records keep every record and stop at the first
+    that overflows."""
 
     @pytest.mark.parametrize("iterations,stride", [(64, 1), (128, 1), (130, 2), (200, 3)])
     def test_completed_run_keeps_every_record(self, iterations, stride):
@@ -594,7 +594,7 @@ class TestRecordBlocks:
         if iterations % stride:
             expected.append(iterations)
         assert len(expected) == 1 + iterations // stride + (iterations % stride > 0)
-        assert len(expected) > RECORD_BLOCK
+        assert len(expected) > 64
         for trace in run_experiment(cfg).traces:
             assert trace.status == "completed"
             assert [r.index for r in trace.records] == expected
@@ -633,7 +633,7 @@ class TestRecordBlocks:
                     first_bad = k
                     break
                 expected.append(rec)
-        assert first_bad is not None and len(expected) > RECORD_BLOCK
+        assert first_bad is not None and len(expected) > 64
         assert np.isfinite(state.x).all()
         assert trace.status == f"diverged@{first_bad}"
         assert [(r.index, r.time, r.step_norm) for r in trace.records] == \
@@ -723,16 +723,14 @@ def reference_optimize(cfg) -> dict:
 
 class TestOptimizeLockstep:
     """A method's seeds step together in groups, with one noise block, one
-    gradient call and one finiteness check per step, and their records
-    evaluated in blocks across the group; every run must match the same run
-    stepped alone."""
+    gradient call and one finiteness check per step, and the records of a
+    group's recorded steps evaluated in one call; every run must match the
+    same run stepped alone, at every record stride."""
 
     @staticmethod
-    def run_grouped(monkeypatch, cfg, rows_per_group, record_block):
+    def run_grouped(monkeypatch, cfg, rows_per_group):
         if rows_per_group is not None:
             monkeypatch.setattr(harness, "STEP_BLOCK", rows_per_group * len(cfg.run["x0"]))
-        if record_block is not None:
-            monkeypatch.setattr(harness, "RECORD_BLOCK", record_block)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return run_experiment(cfg).traces
@@ -751,7 +749,8 @@ class TestOptimizeLockstep:
                 else:
                     assert trace.records[name].tobytes() == expected[name].tobytes(), name
 
-    @pytest.mark.parametrize("record_block", [4, 7, None])
+    # 40 steps: a stride of 4 records the last on the stride, 7 and None (3) off it.
+    @pytest.mark.parametrize("stride", [4, 7, None])
     @pytest.mark.parametrize("rows_per_group", [1, 2, None])
     @pytest.mark.parametrize("problem, methods", [
         ({"name": "quadratic_diag", "params": {"coeffs": [0.5, 0.1]}},
@@ -768,40 +767,38 @@ class TestOptimizeLockstep:
          [{"name": "unbiased_hb", "params": {"eta": 0.5, "beta": 0.8}},
           {"name": "adamnc", "params": {"eta": 0.05}},
           {"name": "polyadam", "params": {"eta": 0.05, "p2": 2.0}}]),
-        # Finite sums with margins past exp's overflow: the component weight is
-        # 0.  With RECORD_BLOCK 7, a one-seed group evaluates its 15 records 7,
-        # 7 and 1 steps at a time, and the lone row's BLAS-reduced record must
-        # match a block's.
+        # Finite sums with margins past exp's overflow: the component weight is 0.
         ({"name": "logistic_synthetic", "params": {"n": 50, "dim": 4, "seed": 0},
           "noise": {"kind": "finite_sum"}},
          [{"name": "sgd", "params": {"eta": 1e5}}, {"name": "adam", "params": {"eta": 0.05}}]),
     ], ids=["none", "scalar-sigma", "matrix-sigma", "finite-sum"])
     def test_runs_match_runs_stepped_alone(self, monkeypatch, problem, methods,
-                                           rows_per_group, record_block):
+                                           rows_per_group, stride):
         d = len(problem["params"].get("coeffs", [])) or problem["params"]["dim"]
         cfg = small_config(problem=problem, methods=methods, master_seed=5,
                            run={"kind": "optimize", "iterations": 40, "x0": [0.5] * d,
-                                "n_seeds": 3, "record_stride": 3})
+                                "n_seeds": 3, "record_stride": stride or 3})
         reference = reference_optimize(cfg)
-        traces = self.run_grouped(monkeypatch, cfg, rows_per_group, record_block)
+        traces = self.run_grouped(monkeypatch, cfg, rows_per_group)
         assert all(t.status == "completed" for t in traces)
         self.assert_matches(traces, reference, rtol=0)
 
-    @pytest.mark.parametrize("record_block", [5, None])
+    @pytest.mark.parametrize("stride", [5, None])
     @pytest.mark.parametrize("rows_per_group", [1, 4, None])
     def test_rows_diverge_and_overflow_at_their_own_steps(self, monkeypatch, rows_per_group,
-                                                          record_block):
+                                                          stride):
         # SGD on the quartic under heavy noise: a seed whose walk passes
         # |x| ~ 8 blows up in a few steps.  Its iterate overflows between
         # stride-4 records, or a record on the way overflows f_gap while the
-        # iterate is still finite.  Quartic's x**3 on an array differs in the
-        # last bit from x**3 on a scalar, so the columns match to 1e-12.
+        # iterate is still finite (None keeps a stride of 4).  Quartic's x**3 on
+        # an array differs in the last bit from x**3 on a scalar, so the columns
+        # match to 1e-12.
         cfg = small_config(
             problem={"name": "quartic_2d", "noise": {"kind": "gaussian", "sigma": 250.0}},
             methods=[{"name": "sgd", "params": {"eta": 0.01}},
                      {"name": "unbiased_hb", "params": {"eta": 0.01, "beta": 0.5}}],
             run={"kind": "optimize", "iterations": 150, "x0": [0.0, 0.0], "n_seeds": 6,
-                 "record_stride": 4},
+                 "record_stride": stride or 4},
             master_seed=0,
         )
         reference = reference_optimize(cfg)
@@ -810,14 +807,13 @@ class TestOptimizeLockstep:
         assert len(iterate_steps) >= 2
         assert any(cause == "record" for _, cause, _ in sgd)
         assert any(cause is None for _, cause, _ in sgd)
-        traces = self.run_grouped(monkeypatch, cfg, rows_per_group, record_block)
+        traces = self.run_grouped(monkeypatch, cfg, rows_per_group)
         self.assert_matches(traces, reference, rtol=1e-12)
 
-    @pytest.mark.parametrize("n_seeds, steps_per_call", [
-        (1, [11]), (3, [11]), (8, [8, 3]), (40, [1] * 11), (150, [1] * 11)],
-        ids=["n1", "n3", "n8", "n40", "n150"])
-    def test_record_calls_take_whole_recorded_steps(self, monkeypatch, n_seeds, steps_per_call):
-        # 11 recorded steps a run; a call holds max(1, RECORD_BLOCK // n) of them at most.
+    @pytest.mark.parametrize("n_seeds", [1, 3, 8, 40, 150],
+                             ids=["n1", "n3", "n8", "n40", "n150"])
+    def test_record_calls_take_whole_recorded_steps(self, monkeypatch, n_seeds):
+        # 11 recorded steps a run, all held by the group and evaluated in one call.
         calls = []
 
         def records(obj, indices, times, xs, step_norms):
@@ -829,9 +825,26 @@ class TestOptimizeLockstep:
         cfg = small_config(run=dict(SMALL["run"], n_seeds=n_seeds))
         traces = run_experiment(cfg).traces
         assert sum(len(t.records) for t in traces) == 2 * n_seeds * 11
-        assert [shape for shape, _ in calls] == 2 * [(m, n_seeds, 2) for m in steps_per_call]
-        assert all(m * n <= max(RECORD_BLOCK, n) for (m, n, _), _ in calls)
-        assert sum((steps for _, steps in calls), []) == 2 * list(range(0, 51, 5))
+        assert [shape for shape, _ in calls] == 2 * [(11, n_seeds, 2)]
+        assert [steps for _, steps in calls] == 2 * [list(range(0, 51, 5))]
+
+    def test_lone_record_row_matches_a_block_row(self):
+        # A one-seed run of no iterations records one iterate.  Evaluated alone,
+        # its 500-wide products would take BLAS's matrix-vector path, whose sums
+        # differ from a two-row block's for about a third of random points;
+        # beside a copy of itself it must give record 0 of a one-step run, whose
+        # call holds two rows, bit for bit.
+        problem = {"name": "logistic_synthetic", "params": {"n": 400, "dim": 500, "seed": 0}}
+        for x0 in np.random.default_rng(11).standard_normal((5, 500)).tolist():
+            first = []
+            for iterations in (0, 1):
+                cfg = small_config(problem=problem, methods=[{"name": "sgd",
+                                                              "params": {"eta": 0.1}}],
+                                   run={"kind": "optimize", "iterations": iterations,
+                                        "x0": x0, "n_seeds": 1})
+                (trace,) = run_experiment(cfg).traces
+                first.append(trace.records[0].tobytes())
+            assert first[0] == first[1]
 
 
 class TestSimulateDivergence:
