@@ -77,7 +77,7 @@ def _run_config_command(args, expected_kind: str) -> int:
     n_div = sum(1 for t in result.traces if t.status != "completed")
     print(f"{len(result.traces)} runs ({n_div} diverged)")
     failures = 0
-    for report in harness.check_config_bounds(cfg, result.traces):
+    for report in harness.check_config_bounds(cfg, result.aggregates):
         print(f"bound {report.kind} on {report.method}: {report.status}"
               f" ({report.summary()})")
         if report.status == "violations":

@@ -38,6 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from memgrad.memory import MemoryFunction
+from memgrad.problems import checked_sigma
 
 __all__ = [
     "PhaseState",
@@ -105,7 +106,7 @@ class SdeSpec:
 
     ``grad`` must map a point to a gradient of the same shape and broadcast
     over a leading path axis (true for every objective in ``problems``).
-    ``sigma`` may be None or 0 (deterministic), a scalar, or a (d, d)
+    ``sigma`` may be None or 0 (deterministic), a scalar > 0, or a (d, d)
     matrix applied to the standard-normal increment; it is held as a float
     or a float array.
     """
@@ -128,11 +129,7 @@ class SdeSpec:
         if not (self.eps_start > 0.0):
             raise ValueError("eps_start must be > 0")
         if self.sigma is not None:
-            sigma = np.asarray(self.sigma, dtype=float)
-            if sigma.shape not in ((), (self.dim, self.dim)) or not np.isfinite(sigma).all():
-                raise ValueError(f"sigma must be a finite scalar or a {self.dim}x{self.dim} "
-                                 f"matrix, got {self.sigma!r}")
-            object.__setattr__(self, "sigma", float(sigma) if sigma.ndim == 0 else sigma)
+            object.__setattr__(self, "sigma", checked_sigma(self.sigma, self.dim))
 
     # -- time-dependent coefficients ------------------------------------
 
@@ -169,20 +166,20 @@ def hb_sde(grad, dim, viscosity, sigma=None, eps_start: float = 1e-12) -> SdeSpe
 
 
 def semi_implicit_euler_step(state: PhaseState, spec: SdeSpec, h: float) -> PhaseState:
-    """Velocity-first Euler step of the deterministic heavy-ball system:
+    """Velocity-first Euler step of the model's deterministic system:
 
-        v' = v + h (-a(t) v - grad f(x));   x' = x + h v'.
+        v' = v + h (-a(t) v - s(t) grad f(x));   x' = x + h v',
 
-    Iterating this from v = 0 walks exactly the momentum recursion with
-    beta = 1 - h a(t_k) and learning rate h**2.  Like the discrete
-    steppers, it does not check finiteness.
+    with friction a and gradient scale s.  For ``hb_ode`` (s = 1), iterating
+    this from v = 0 walks exactly the momentum recursion with beta =
+    1 - h a(t_k) and learning rate h**2; for ``mg`` with polynomial memory
+    of degree p, from t = p h and v = 0, MemSGD-p with eta = h.  Like the
+    discrete steppers, it does not check finiteness.
     """
-    if spec.model != "hb_ode":
-        raise ValueError("semi-implicit stepping is defined for the hb_ode model")
     if h <= 0.0:
         raise ValueError("h must be > 0")
-    a = spec.friction(state.t)
-    v_new = state.v + h * (-a * state.v - spec.grad(state.x))
+    a, scale = spec.friction(state.t), spec.gradient_scale(state.t)
+    v_new = state.v + h * (-a * state.v - scale * spec.grad(state.x))
     return PhaseState(x=state.x + h * v_new, v=v_new, t=state.t + h)
 
 

@@ -8,8 +8,11 @@ iterates of their R recorded steps whole, evaluate them in one batched
 record call, and end in one trace builder, given the (R, n) records, the
 recorded steps and the step at which each row's state stopped being
 finite.  Every run draws its noise from a counter-based substream keyed
-by the run id, and results are reduced in a fixed order, so a (config,
-master seed) pair maps to byte-identical output whatever the grouping.
+by the run id, and results are reduced in a fixed order, so output bytes
+are fixed per (config, master seed, BLAS build, BLAS thread count),
+whatever the run order.  Grouping moves no bits for elementwise oracles
+(quadratic, quartic) or the shipped configs, but can move the last bit
+of a BLAS-reduced record (logistic at mid d).
 """
 
 from __future__ import annotations
@@ -627,8 +630,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     max(1, STEP_BLOCK // d) seeds, each stepped as one (n, d) batch, and a
     simulate method's as one batch of paths.  Either holds the iterates of
     its recorded steps whole and evaluates their records in one call.  Each
-    run derives its own RNG substream from its run id, so the result set
-    does not depend on run order or grouping.  A run that diverges keeps
+    run derives its own RNG substream from its run id, so the result does
+    not depend on run order, nor on grouping except through BLAS-reduced
+    records (see the module docstring).  A run that diverges keeps
     its records before its first overflowing one, ends ``diverged@k`` at
     the earlier of that record's step and the step its state stopped being
     finite, and never aborts the batch.  Before the first run, the config
@@ -679,64 +683,52 @@ class BoundCheckReport:
         return text
 
 
-def check_bounds(traces: list[Trace], bound: BoundSpec, method: str) -> BoundCheckReport:
-    """Compare across-seed mean suboptimality against a closed-form bound.
+def check_bounds(aggregates: dict, bound: BoundSpec, method: str) -> BoundCheckReport:
+    """Compare a method's rows of ``aggregates`` (``run_experiment``'s
+    AGGREGATE_DTYPE arrays, the aggregates.csv rows) with a closed-form bound.
 
     The bound constrains an expectation, so for stochastic runs the check
-    uses the one-sided lower edge mean - CI at each index; deterministic
-    single runs degenerate to a pathwise check.  Missing constants, a
-    method/bound family mismatch, absent f_gap data, or an ``exp_cesaro``
-    bound (on the time-averaged iterate, which traces do not record) yield
-    an explicit ``cannot_check`` status rather than a pass.
+    uses the one-sided lower edge mean - CI of each row whose mean is not
+    NaN (and, for a bound in t, whose time is > 0), evaluating the bound
+    once per such row in index order; deterministic single runs degenerate
+    to a pathwise check.  Missing constants, a method/bound family
+    mismatch, absent f_gap data, or an ``exp_cesaro`` bound (on the
+    time-averaged iterate, which traces do not record) yield an explicit
+    ``cannot_check`` status rather than a pass.
     """
     base = method.split("(", 1)[0]
-    selected = [t for t in traces if t.method == method]
+    agg = aggregates.get(method)
     if base not in BOUND_KINDS[bound.kind].families:
         reason = f"bound kind {bound.kind!r} does not apply to method {base!r}"
     elif bound.kind == "exp_cesaro":
         reason = ("exp_cesaro bounds the time-averaged iterate; traces record "
                   "the last iterate")
-    elif not selected:
+    elif agg is None:
         reason = "no traces for method"
     else:
-        agg = aggregate_traces(selected)[method]
         reason = ("objective declares no optimal value"
                   if np.all(np.isnan(agg.f_gap_mean)) else "")
     if reason:
         return BoundCheckReport(status="cannot_check", method=method, kind=bound.kind,
                                 reason=reason)
     use_time = BOUND_KINDS[bound.kind].index == "t"
-    axis = agg.time if use_time else agg.index
-    n_checked = n_violations = 0
-    max_excess, first_violation = 0.0, None
-    for pos, idx in enumerate(axis):
-        if use_time and idx <= 0.0:
-            continue
-        mean = agg.f_gap_mean[pos]
-        if math.isnan(mean):
-            continue
-        lhs = mean - agg.f_gap_ci[pos]
-        value = bound.evaluate(idx)
-        n_checked += 1
-        if lhs > value:
-            n_violations += 1
-            excess = (lhs - value) / max(value, 1e-300)
-            if excess > max_excess:
-                max_excess = excess
-            if first_violation is None:
-                first_violation = float(idx)
-    status = "ok" if n_violations == 0 else "violations"
+    rows = agg[~np.isnan(agg.f_gap_mean) & ((agg.time > 0.0) | (not use_time))]
+    axis = rows.time if use_time else rows.index
+    values = np.array([bound.evaluate(idx) for idx in axis], dtype=float)
+    lhs = rows.f_gap_mean - rows.f_gap_ci
+    bad = lhs > values
+    excess = (lhs[bad] - values[bad]) / np.maximum(values[bad], 1e-300)
     return BoundCheckReport(
-        status=status, method=method, kind=bound.kind, n_checked=n_checked,
-        n_violations=n_violations, max_relative_excess=max_excess,
-        first_violation_index=first_violation,
+        status="violations" if bad.any() else "ok", method=method, kind=bound.kind,
+        n_checked=axis.size, n_violations=int(bad.sum()),
+        max_relative_excess=float(excess.max(initial=0.0)),
+        first_violation_index=float(axis[bad][0]) if bad.any() else None,
     )
 
 
-def check_config_bounds(config: ExperimentConfig,
-                        traces: list[Trace]) -> list[BoundCheckReport]:
-    """Each bound the config declares, checked against its method's traces."""
-    return [check_bounds(traces, BoundSpec(entry["kind"], entry.get("params", {})),
+def check_config_bounds(config: ExperimentConfig, aggregates: dict) -> list[BoundCheckReport]:
+    """Each bound the config declares, checked on its method's aggregates."""
+    return [check_bounds(aggregates, BoundSpec(entry["kind"], entry.get("params", {})),
                          method=entry["method"])
             for entry in config.bounds]
 

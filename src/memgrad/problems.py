@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "Objective",
     "NoiseModel",
+    "checked_sigma",
     "quadratic_diag",
     "quartic_2d",
     "constant_field",
@@ -60,8 +61,8 @@ class NoiseModel:
 
     kind 'none': the exact gradient.
     kind 'gaussian': grad(x) + sigma * xi with standard normal xi; sigma
-        may be a scalar or a (d, d) matrix, and is held as a float or a
-        float array.
+        may be a scalar >= 0 or a (d, d) matrix, and is held as a float or
+        a float array.
     kind 'finite_sum': a uniformly sampled component gradient of a
         finite-sum objective.
     """
@@ -75,12 +76,19 @@ class NoiseModel:
         if self.kind == "gaussian" and self.sigma is None:
             raise ValueError("gaussian noise needs a sigma")
         if self.sigma is not None:
-            sigma = np.asarray(self.sigma, dtype=float)
-            if (sigma.ndim not in (0, 2) or sigma.shape[:1] != sigma.shape[1:]
-                    or not np.isfinite(sigma).all()):
-                raise ValueError(f"sigma must be a finite scalar or a square matrix, "
-                                 f"got {self.sigma!r}")
-            object.__setattr__(self, "sigma", float(sigma) if sigma.ndim == 0 else sigma)
+            object.__setattr__(self, "sigma", checked_sigma(self.sigma))
+
+
+def checked_sigma(sigma, dim: int | None = None) -> float | np.ndarray:
+    """sigma held as a float >= 0 or a finite (dim, dim) float matrix (any
+    square one if dim is None), which may hold negative entries."""
+    held = np.asarray(sigma, dtype=float)
+    fits = (held >= 0.0 if held.ndim == 0 else
+            held.ndim == 2 and held.shape[0] == held.shape[1] == (dim or len(held)))
+    if not (fits and np.isfinite(held).all()):
+        shape = "square" if dim is None else f"{dim}x{dim}"
+        raise ValueError(f"sigma must be a finite scalar >= 0 or a {shape} matrix, got {sigma!r}")
+    return float(held) if held.ndim == 0 else held
 
 
 def stochastic_gradient(obj: Objective, noise: NoiseModel, x, draw) -> np.ndarray:

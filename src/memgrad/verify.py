@@ -212,7 +212,7 @@ def run_verification(config: harness.ExperimentConfig | None = None
         "experiment-batch", len(result.traces) == expected and n_div == 0,
         f"{len(result.traces)} runs, {n_div} diverged",
     ))
-    for report in harness.check_config_bounds(config, result.traces):
+    for report in harness.check_config_bounds(config, result.aggregates):
         checks.append(CheckResult(
             f"rate-bound[{report.method}]", report.status == "ok",
             f"status={report.status}, {report.summary()}",

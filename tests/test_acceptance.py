@@ -232,7 +232,7 @@ def test_criterion_08_memsgd_rate_bounds():
     spec = theory.BoundSpec("memsgd_discrete", {
         "p": p, "eta": eta, "d": 2, "varsigma2": sigma**2, "dist2": 2.0,
     })
-    bound_report = harness.check_bounds(result.traces, spec, method=label)
+    bound_report = harness.check_bounds(result.aggregates, spec, method=label)
     assert bound_report.status == "ok", bound_report
     report(8, time.time() - start, 180.0,
            f"deterministic margin max = {worst_margin:.2e} (k <= 1e4, p in "

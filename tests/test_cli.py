@@ -338,6 +338,19 @@ class TestConfigThatFailsToLoad:
                                "dist2": 2.0}}],
     }
 
+    # A negative scalar sigma, as gaussian noise or in each SDE model.
+    NEGATIVE_SIGMA = {
+        "problem": {"name": "quadratic_diag", "params": {"coeffs": [1.0, 1.0]},
+                    "noise": {"kind": "gaussian", "sigma": -1.0}},
+        "methods": [{"name": "sgd", "params": {"eta": 0.1}}],
+        "run": {"kind": "optimize", "iterations": 5, "x0": [1.0, 1.0]},
+    }
+    SIMULATE = {
+        "problem": {"name": "quadratic_diag", "params": {"coeffs": [1.0, 1.0]}},
+        "run": {"kind": "simulate", "t_end": 1.0, "h": 0.1, "x0": [1.0, 1.0]},
+    }
+    MODEL_SIGMA = ": sigma must be a finite scalar >= 0 or a 2x2 matrix, got -1.0"
+
     @pytest.mark.parametrize("command, text, message", [
         ("simulate", json.dumps(BAD_BOUND),
          "bounds: strongly_convex_hb on hb_ode(viscosity=0.3): need alpha, tau, "
@@ -345,7 +358,19 @@ class TestConfigThatFailsToLoad:
         ("optimize", '{"problem": {}}', "config: "),
         ("verify", "{not json", "Expecting property name"),
         ("optimize", None, "No such file"),
-    ], ids=["bound", "missing-sections", "not-json", "missing-file"])
+        ("optimize", json.dumps(NEGATIVE_SIGMA),
+         "problem.noise: sigma must be a finite scalar >= 0 or a square matrix, got -1.0"),
+        ("simulate", json.dumps(dict(SIMULATE, methods=[
+            {"name": "nesterov", "params": {"sigma": -1.0}}])),
+         "method nesterov(sigma=-1.0)" + MODEL_SIGMA),
+        ("simulate", json.dumps(dict(SIMULATE, methods=[
+            {"name": "mg", "params": {"memory": "quadratic", "sigma": -1.0}}])),
+         "method mg(memory=quadratic,sigma=-1.0)" + MODEL_SIGMA),
+        ("simulate", json.dumps(dict(SIMULATE, methods=[
+            {"name": "hb_ode", "params": {"viscosity": 1.0, "sigma": -1.0}}])),
+         "method hb_ode(sigma=-1.0,viscosity=1.0)" + MODEL_SIGMA),
+    ], ids=["bound", "missing-sections", "not-json", "missing-file", "negative-noise-sigma",
+            "negative-nesterov-sigma", "negative-mg-sigma", "negative-hb_ode-sigma"])
     def test_one_line_names_the_path(self, tmp_path, command, text, message):
         path = tmp_path / "cfg.json"
         if text is not None:

@@ -33,7 +33,7 @@ from memgrad.continuum import (
     warp_equivalence_check,
 )
 from memgrad.memory import MemoryFunction
-from memgrad.optimizers import OptimizerState, hb_step
+from memgrad.optimizers import OptimizerState, hb_step, memsgd_p_step
 from memgrad.problems import constant_field, quadratic_diag
 
 FIG_QUADRATIC = quadratic_diag([2e-2, 5e-3])
@@ -86,6 +86,20 @@ class TestSemiImplicitEuler:
             ps = semi_implicit_euler_step(ps, spec, h)
             st = hb_step(st, q.grad(st.x), eta=h * h, beta=1.0 - h * alpha)
             np.testing.assert_allclose(ps.x, st.x, rtol=0, atol=1e-12)
+
+    def test_polynomial_memory_walks_memsgd(self):
+        # c(t) = p/t at t_k = (k + p) h gives beta = k/(k+p) and eta p/(k+p), eta = h.
+        p, h = 2.0, 0.05
+        q = quadratic_diag([0.5, 0.1])
+        spec = memory_sde(q.grad, 2, MemoryFunction.polynomial(p))
+        ps = PhaseState(np.array([1.0, -1.0]), np.zeros(2), t=p * h)
+        st = OptimizerState.initial(np.array([1.0, -1.0]))
+        worst = 0.0
+        for _ in range(200):
+            ps = semi_implicit_euler_step(ps, spec, h)
+            st = memsgd_p_step(st, q.grad(st.x), eta=h, p=p)
+            worst = max(worst, np.max(np.abs(ps.x - st.x)))
+        assert worst < 1e-12
 
     def test_frozen_without_forces(self):
         spec = hb_sde(lambda x: np.zeros_like(x), 1, viscosity=1.0)

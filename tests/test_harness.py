@@ -166,8 +166,8 @@ class TestConfig:
         assert str(err.value).startswith(f"{where}: ")
         assert f"'{key}'" in str(err.value)
 
-    @pytest.mark.parametrize("sigma", [np.eye(3).tolist(), [0.5, 0.5], float("inf")],
-                             ids=["3x3", "vector", "inf"])
+    @pytest.mark.parametrize("sigma", [np.eye(3).tolist(), [0.5, 0.5], float("inf"), -1.0],
+                             ids=["3x3", "vector", "inf", "negative-scalar"])
     def test_sigma_of_another_shape_rejected_at_load(self, sigma):
         problem = {"name": "quadratic_diag", "params": {"coeffs": [1.0, 1.0]}}
         with pytest.raises(ValueError) as err:
@@ -179,10 +179,10 @@ class TestConfig:
                 problem=problem, run=SIMULATE_RUN,
                 methods=[{"name": "hb_ode", "params": {"viscosity": 1.0, "sigma": sigma}}]))
         assert str(err.value).startswith("method hb_ode(sigma=")
-        assert "sigma must be a finite scalar or a 2x2 matrix" in str(err.value)
+        assert "sigma must be a finite scalar >= 0 or a 2x2 matrix" in str(err.value)
 
     def test_list_sigma_becomes_a_float_array(self):
-        sigma = [[0.5, 0], [0, 1]]
+        sigma = [[0.5, 0], [-0.2, 1]]  # negative entries are allowed in a matrix
         cfg = small_config(
             problem={"name": "quadratic_diag", "params": {"coeffs": [1.0, 1.0]},
                      "noise": {"kind": "gaussian", "sigma": sigma}},
@@ -469,7 +469,7 @@ class TestConfig:
         raw = {
             "problem": {"name": "quadratic_diag",
                         "params": {"coeffs": data.draw(st.lists(finite, min_size=1))},
-                        "noise": {"kind": "gaussian", "sigma": data.draw(finite)}},
+                        "noise": {"kind": "gaussian", "sigma": data.draw(st.floats(0.0, 1e6))}},
             "methods": methods,
             "run": {"kind": "optimize", "iterations": data.draw(st.integers(1, 10**6)),
                     "x0": [data.draw(finite)], "n_seeds": data.draw(st.integers(1, 99)),
@@ -1151,7 +1151,7 @@ class TestBoundChecks:
         spec = BoundSpec("memsgd_discrete", {
             "p": 2.0, "eta": 0.5, "d": 2, "varsigma2": 0.0, "dist2": 2.0,
         })
-        report = check_bounds(result.traces, spec, method=label)
+        report = check_bounds(result.aggregates, spec, method=label)
         assert report.status == "ok"
         assert report.n_checked == 1001
         assert report.n_violations == 0
@@ -1162,14 +1162,14 @@ class TestBoundChecks:
         spec = BoundSpec("memsgd_discrete", {
             "p": 2.0, "eta": 0.5, "d": 2, "varsigma2": 10.0, "dist2": 2.0,
         })
-        assert check_bounds(result.traces, spec, method=label).status == "ok"
+        assert check_bounds(result.aggregates, spec, method=label).status == "ok"
 
     def test_method_mismatch_cannot_check(self):
         cfg = small_config(methods=[{"name": "sgd", "params": {"eta": 1.0}}])
         result = run_experiment(cfg)
         spec = BoundSpec("memsgd_discrete", {"p": 2.0, "eta": 0.5, "d": 2,
                                              "dist2": 2.0})
-        report = check_bounds(result.traces, spec, method="sgd(eta=1.0)")
+        report = check_bounds(result.aggregates, spec, method="sgd(eta=1.0)")
         assert report.status == "cannot_check"
         assert "does not apply" in report.reason
 
@@ -1185,7 +1185,7 @@ class TestBoundChecks:
         )
         result = run_experiment(cfg)
         entry = cfg.bounds[0]
-        report = check_bounds(result.traces, BoundSpec(entry["kind"], entry["params"]),
+        report = check_bounds(result.aggregates, BoundSpec(entry["kind"], entry["params"]),
                               method=entry["method"])
         assert report.status == "cannot_check"
         assert "time-averaged" in report.reason
@@ -1202,8 +1202,130 @@ class TestBoundChecks:
         result = run_experiment(cfg)
         spec = BoundSpec("memsgd_discrete", {"p": 2.0, "eta": 0.1, "d": 2,
                                              "dist2": 0.0})
-        report = check_bounds(result.traces, spec, method=result.traces[0].method)
+        report = check_bounds(result.aggregates, spec, method=result.traces[0].method)
         assert report.status == "cannot_check"
+
+    def test_unknown_method_cannot_check(self):
+        spec = BoundSpec("memsgd_discrete", {"p": 2.0, "eta": 0.1, "d": 2, "dist2": 0.0})
+        report = check_bounds({}, spec, method="memsgd(eta=0.1,p=2.0)")
+        assert (report.status, report.reason) == ("cannot_check", "no traces for method")
+
+    def test_optimize_with_a_bound_aggregates_once(self, monkeypatch):
+        calls = []
+
+        def counted(traces):
+            calls.append(len(traces))
+            return aggregate_traces(traces)
+
+        monkeypatch.setattr(harness, "aggregate_traces", counted)
+        cfg = default_verify_config()
+        result = run_experiment(cfg)
+        (report,) = harness.check_config_bounds(cfg, result.aggregates)
+        assert report.status == "ok" and report.n_checked > 0
+        assert calls == [len(result.traces)]
+
+
+def reference_check_bounds(agg, bound, method) -> harness.BoundCheckReport:
+    """The per-index loop check_bounds ran before it read aggregates as
+    arrays, given the method's aggregate rows."""
+    if np.all(np.isnan(agg.f_gap_mean)):
+        return harness.BoundCheckReport(status="cannot_check", method=method,
+                                        kind=bound.kind,
+                                        reason="objective declares no optimal value")
+    use_time = BOUND_KINDS[bound.kind].index == "t"
+    axis = agg.time if use_time else agg.index
+    n_checked = n_violations = 0
+    max_excess, first_violation = 0.0, None
+    for pos, idx in enumerate(axis):
+        if use_time and idx <= 0.0:
+            continue
+        mean = agg.f_gap_mean[pos]
+        if math.isnan(mean):
+            continue
+        lhs = mean - agg.f_gap_ci[pos]
+        value = bound.evaluate(idx)
+        n_checked += 1
+        if lhs > value:
+            n_violations += 1
+            excess = (lhs - value) / max(value, 1e-300)
+            if excess > max_excess:
+                max_excess = excess
+            if first_violation is None:
+                first_violation = float(idx)
+    status = "ok" if n_violations == 0 else "violations"
+    return harness.BoundCheckReport(
+        status=status, method=method, kind=bound.kind, n_checked=n_checked,
+        n_violations=n_violations, max_relative_excess=max_excess,
+        first_violation_index=first_violation,
+    )
+
+
+class TableBound:
+    """A stand-in bound whose value at each index or time is looked up in a
+    table, and which logs the indices it is evaluated at."""
+
+    def __init__(self, kind, table):
+        self.kind, self.table, self.calls = kind, table, []
+
+    def evaluate(self, index):
+        self.calls.append(index)
+        return self.table[float(index)]
+
+
+BOUND_LABELS = {"memsgd_discrete": "memsgd(eta=0.5,p=2.0)",
+                "poly_continuous": "mg(memory=quadratic)"}
+
+
+def assert_check_matches_the_loop(kind, time, mean, ci, values):
+    agg = np.recarray(len(time), dtype=AGGREGATE_DTYPE)
+    agg.fill(0)
+    agg.index, agg.time, agg.n_runs = np.arange(len(time)), time, 3
+    agg.f_gap_mean, agg.f_gap_ci = mean, ci
+    axis = agg.time if BOUND_KINDS[kind].index == "t" else agg.index
+    table = dict(zip(axis.tolist(), values))
+    method = BOUND_LABELS[kind]
+    bound, expected_bound = TableBound(kind, table), TableBound(kind, table)
+    report = check_bounds({method: agg}, bound, method)
+    expected = reference_check_bounds(agg, expected_bound, method)
+    for name in ("status", "method", "kind", "n_checked", "n_violations",
+                 "max_relative_excess", "first_violation_index", "reason"):
+        assert getattr(report, name) == getattr(expected, name), name
+    assert bound.calls == expected_bound.calls
+    assert [type(i) for i in bound.calls] == [type(i) for i in expected_bound.calls]
+    return report
+
+
+class TestArrayCheckMatchesTheLoop:
+    """check_bounds against reference_check_bounds, field by field."""
+
+    @pytest.mark.parametrize("kind, time, mean, ci, values, status, first", [
+        ("memsgd_discrete", [0.0, 1.0, 2.0], [3.0, 0.5, math.nan], [0.1, 0.1, 0.1],
+         [1.0, 1.0, 1.0], "violations", 0.0),
+        ("memsgd_discrete", [0.0, 1.0, 2.0, 3.0], [math.nan, 0.5, 2.0, 5.0],
+         [0.0, 0.0, 0.5, 0.0], [1.0, 1.0, 1.0, 1e-302], "violations", 2.0),
+        ("poly_continuous", [-1.0, 0.0, 0.5, 1.0], [9.0, 9.0, 0.1, 0.2],
+         [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1e-300], "violations", 1.0),
+        ("poly_continuous", [0.0, 0.5, 1.0], [9.0, 0.1, math.nan], [0.0, 0.0, 0.0],
+         [1.0, 1.0, 1.0], "ok", None),
+        ("memsgd_discrete", [0.0, 1.0], [math.nan, math.nan], [0.0, 0.0],
+         [1.0, 1.0], "cannot_check", None),
+    ], ids=["first-row", "later-row-and-tiny-bound", "t-not-positive", "ok", "all-nan"])
+    def test_cases(self, kind, time, mean, ci, values, status, first):
+        report = assert_check_matches_the_loop(kind, time, mean, ci, values)
+        assert (report.status, report.first_violation_index) == (status, first)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_drawn_rows(self, data):
+        kind = data.draw(st.sampled_from(sorted(BOUND_LABELS)))
+        rows = st.lists(st.tuples(
+            st.floats(-2.0, 50.0),
+            st.one_of(st.just(math.nan), st.just(math.inf), st.floats(0.0, 10.0)),
+            st.floats(0.0, 1.0),
+            st.one_of(st.floats(1e-6, 10.0), st.floats(1e-305, 1e-295), st.just(1e-300)),
+        ), min_size=1, max_size=20)
+        time, mean, ci, values = map(list, zip(*data.draw(rows)))
+        assert_check_matches_the_loop(kind, time, mean, ci, values)
 
 
 def reference_aggregates_csv(aggregates) -> str:
