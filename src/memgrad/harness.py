@@ -4,15 +4,17 @@ A config is a plain JSON-shaped document (see :class:`ExperimentConfig`);
 every grid entry expands to a concrete method whose seeds run together:
 an optimize method's step in groups as one (n, d) batch, a simulate
 method's integrate as one batch of paths.  Both kinds hold the (R, n, d)
-iterates of their R recorded steps whole, evaluate them in one batched
-record call, and end in one trace builder, given the (R, n) records, the
-recorded steps and the step at which each row's state stopped being
-finite.  Every run draws its noise from a counter-based substream keyed
-by the run id, and results are reduced in a fixed order, so output bytes
-are fixed per (config, master seed, BLAS build, BLAS thread count),
-whatever the run order.  Grouping moves no bits for elementwise oracles
-(quadratic, quartic) or the shipped configs, but can move the last bit
-of a BLAS-reduced record (logistic at mid d).
+iterates of their R recorded steps whole and evaluate them in one batched
+record call.  A method's groups join along the seed axis into one (R, n)
+record block, which one trace builder cuts into runs, given the recorded
+steps and the step at which each run's state stopped being finite, and
+``aggregate_traces`` reduces over the seed axis.  Every run draws its
+noise from a counter-based substream keyed by the run id, and each row
+is reduced in seed order, so output bytes are fixed per (config, master
+seed, BLAS build, BLAS thread count), whatever the run order.  Grouping
+moves no bits for elementwise oracles (quadratic, quartic) or the shipped
+configs, but can move the last bit of a BLAS-reduced record (logistic at
+mid d).
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "emit",
     "write_csv",
     "write_json",
-    "read_traces_csv",
 ]
 
 # One row per recorded iterate; aggregates reduce the fields after index and time.
@@ -369,47 +370,32 @@ def _rescaled(reduce, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mean_ci(values: np.ndarray, starts: np.ndarray, counts: np.ndarray):
-    """Mean and 95% half-width of each group values[start:start + count].
+def aggregate_traces(records: np.recarray, counts: np.ndarray) -> np.recarray:
+    """Deterministic reduction of one method's (R, n) record block over its
+    seed axis: an AGGREGATE_DTYPE record array of the per-index mean and 95%
+    CI, in index order.
 
-    Groups of one size are the rows of one 2-D block, reduced row by row with
-    the bits of ``mean()`` and ``std(ddof=1)`` on each group alone.  A mean or
-    std that overflows is taken again on the row scaled by its largest
-    magnitude.
+    Column i holds the run of the i-th seed, which keeps its first counts[i]
+    records; a run that diverged contributes records up to its failure and
+    is excluded (with n_runs adjusted) beyond it.  Row r reduces the columns
+    with counts > r, in seed order.  Rows between two successive distinct
+    counts share these columns and are gathered as one (rows, n) block,
+    reduced row by row with the bits of ``mean()`` and ``std(ddof=1)`` on
+    each row alone.  Index and time are column 0's, which every column
+    shares.
     """
-    mean, ci = np.empty(starts.size), np.zeros(starts.size)
-    for n in np.unique(counts).tolist():
-        sel = counts == n
-        rows = values[starts[sel, None] + np.arange(n)]
-        mean[sel] = _rescaled(lambda r: r.mean(axis=1), rows)
-        if n > 1:
-            ci[sel] = 1.96 * _rescaled(lambda r: r.std(axis=1, ddof=1), rows) / math.sqrt(n)
-    return mean, ci
-
-
-def aggregate_traces(traces: list[Trace]) -> dict[str, np.recarray]:
-    """Deterministic reduction: per method, an AGGREGATE_DTYPE record array of
-    the per-index mean and CI, in index order.
-
-    Runs that diverged contribute records up to their failure and are
-    excluded (with n_runs adjusted) beyond it.  Each index's values are
-    reduced in seed order.
-    """
-    by_method: dict[str, list[np.ndarray]] = {}
-    for tr in sorted(traces, key=lambda t: (t.method, t.seed)):
-        by_method.setdefault(tr.method, []).append(tr.records)
-    out = {}
-    for method, blocks in by_method.items():
-        rows = np.concatenate(blocks)
-        rows = rows[np.argsort(rows["index"], kind="stable")]
-        indices, starts, n_runs = np.unique(rows["index"], return_index=True,
-                                            return_counts=True)
-        agg = np.recarray(indices.size, dtype=AGGREGATE_DTYPE)
-        agg.index, agg.time, agg.n_runs = indices, rows["time"][starts], n_runs
+    ends = sorted({0, *counts.tolist()})
+    agg = np.recarray(ends[-1], dtype=AGGREGATE_DTYPE)
+    agg.index, agg.time = records.index[:ends[-1], 0], records.time[:ends[-1], 0]
+    for lo, hi in zip(ends, ends[1:]):
+        rows, cols = np.arange(lo, hi)[:, None], np.flatnonzero(counts > lo)
+        agg.n_runs[lo:hi] = n = cols.size
         for name in STATS:
-            agg[f"{name}_mean"], agg[f"{name}_ci"] = _mean_ci(rows[name], starts, n_runs)
-        out[method] = agg
-    return out
+            block = records[name][rows, cols]
+            agg[f"{name}_mean"][lo:hi] = _rescaled(lambda r: r.mean(axis=1), block)
+            agg[f"{name}_ci"][lo:hi] = 0.0 if n == 1 else 1.96 * _rescaled(
+                lambda r: r.std(axis=1, ddof=1), block) / math.sqrt(n)
+    return agg
 
 
 # ----------------------------------------------------------------------
@@ -505,7 +491,8 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
     stops stepping a row whose new iterate is not finite.  The iterates and
     step norms of the recorded steps are held whole, NaN on rows no longer
     stepping, and evaluated in one ``_records`` call, as a simulate batch's
-    are; ``_traces`` cuts each run at its divergence.
+    are.  Returns the group's (R, n) records, its R recorded steps and the
+    step at which each row's state stopped being finite, 0 if it did not.
     """
     run_ids = [f"{label}|seed={seed}" for seed in seeds]
     iterations = int(run_cfg["iterations"])
@@ -548,15 +535,14 @@ def _execute_optimize(label, name, params, obj, noise, run_cfg, master_seed, see
             held[r, live], norms[r, live] = xs, step_norms
             if not live.size:
                 break
-    records = _records(obj, steps[:, None], steps[:, None], held, norms)
-    return _traces(label, seeds, records, steps, stopped)
+    return _records(obj, steps[:, None], steps[:, None], held, norms), steps, stopped
 
 
 def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, seeds):
     """Every seed of one method, integrated together as one batch of paths;
     each path's noise comes from its own run's substream.  A record's index
     counts the run's records, and its step norm is the distance from the
-    run's previous record."""
+    run's previous record.  Returns what ``_execute_optimize`` returns."""
     build, kwargs = _method_call("simulate", name, params)
     spec = build(obj.grad, obj.dim, eps_start=float(run_cfg.get("eps_start", EPS_START)),
                  **kwargs)
@@ -573,15 +559,16 @@ def _execute_simulate(label, name, params, obj, noise, run_cfg, master_seed, see
     records = _records(obj, np.arange(len(times))[:, None], times[:, None], positions,
                        step_norms)
     steps = np.append(np.arange(0, len(targets), stride), len(targets))  # the recorded steps
-    return _traces(label, seeds, records, steps, stopped)
+    return records, steps, stopped
 
 
 def _check_against_objective(config: ExperimentConfig, obj: problems.Objective) -> None:
     """Raise ValueError unless finite-sum noise has components to sample, x0
     has the objective's dimension and each declared bound describes its run:
     d = len(x0); dist2 = ||x0 - x*||^2 (to 1e-12 relative) if x* is declared;
-    and a ``memsgd_discrete`` bound has its method's p and eta, with
-    eta <= (p-1)/(pL) (to 1e-12) if L is declared."""
+    a ``poly_continuous`` bound's p is the degree of its method's memory,
+    which is polynomial; and a ``memsgd_discrete`` bound has its method's p
+    and eta, with eta <= (p-1)/(pL) (to 1e-12) if L is declared."""
     if config.problem.get("noise", {}).get("kind") == "finite_sum" \
             and obj.grad_component is None:
         raise ValueError(f"problem.noise: finite_sum noise needs finite-sum components, "
@@ -600,9 +587,16 @@ def _check_against_objective(config: ExperimentConfig, obj: problems.Objective) 
             if not math.isclose(params["dist2"], dist2, rel_tol=1e-12):
                 raise ValueError(f"{where}: dist2 = {params['dist2']!r}, but "
                                  f"||x0 - x*||^2 = {dist2!r}")
+        method = methods[entry["method"]]
+        if entry["kind"] == "poly_continuous":
+            memory = MemoryFunction.from_name(method["memory"], method.get("memory_param"))
+            if (memory.kind, memory.param) != ("polynomial", params["p"]):
+                has = memory.kind if memory.param is None else f"{memory.kind}({memory.param!r})"
+                raise ValueError(f"{where}: p = {params['p']!r} needs polynomial memory of "
+                                 f"degree {params['p']!r}, but the method's memory is {has}")
         if entry["kind"] != "memsgd_discrete":
             continue
-        p, eta = methods[entry["method"]]["p"], methods[entry["method"]]["eta"]
+        p, eta = method["p"], method["eta"]
         if (params["p"], params["eta"]) != (p, eta):
             raise ValueError(f"{where}: p, eta = {params['p']!r}, {params['eta']!r}, "
                              f"but the method has {p!r}, {eta!r}")
@@ -626,19 +620,22 @@ class ConfigError(ValueError):
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute every (method x seed) run and aggregate the traces.
 
-    The seeds of a method run together: an optimize method's in groups of
-    max(1, STEP_BLOCK // d) seeds, each stepped as one (n, d) batch, and a
-    simulate method's as one batch of paths.  Either holds the iterates of
-    its recorded steps whole and evaluates their records in one call.  Each
-    run derives its own RNG substream from its run id, so the result does
-    not depend on run order, nor on grouping except through BLAS-reduced
-    records (see the module docstring).  A run that diverges keeps
-    its records before its first overflowing one, ends ``diverged@k`` at
-    the earlier of that record's step and the step its state stopped being
-    finite, and never aborts the batch.  Before the first run, the config
-    is validated, its objective built, and x0, the noise and each declared
-    bound checked against the objective; a ValueError there is raised as
-    ConfigError.
+    Methods run in label order, so the traces come out in (method, seed)
+    order.  The seeds of a method run together: an optimize method's in
+    groups of max(1, STEP_BLOCK // d) seeds, each stepped as one (n, d)
+    batch, and a simulate method's as one batch of paths.  Either holds the
+    iterates of its recorded steps whole and evaluates their records in one
+    call.  The method's group blocks, joined in seed order, are cut into
+    traces by ``_traces`` and reduced over the seed axis by
+    ``aggregate_traces``, once per method.  Each run derives its own RNG
+    substream from its run id, so the result does not depend on run order,
+    nor on grouping except through BLAS-reduced records (see the module
+    docstring).  A run that diverges keeps its records before its first
+    overflowing one, ends ``diverged@k`` at the earlier of that record's
+    step and the step its state stopped being finite, and never aborts the
+    batch.  Before the first run, the config is validated, its objective
+    built, and x0, the noise and each declared bound checked against the
+    objective; a ValueError there is raised as ConfigError.
     """
     try:
         config.validate()
@@ -651,12 +648,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     optimize = config.run.get("kind", "optimize") == "optimize"
     execute = _execute_optimize if optimize else _execute_simulate
     size = max(1, STEP_BLOCK // obj.dim) if optimize else len(seeds)
-    traces = [trace for label, name, params in config.expanded_methods()
-              for start in range(0, len(seeds), size)
-              for trace in execute(label, name, params, *args, seeds[start:start + size])]
-    traces.sort(key=lambda t: (t.method, t.seed))
-    return ExperimentResult(traces=traces, aggregates=aggregate_traces(traces),
-                            config=config)
+    traces, aggregates = [], {}
+    for label, name, params in sorted(config.expanded_methods()):
+        blocks, steps, stopped = zip(*(execute(label, name, params, *args,
+                                               seeds[start:start + size])
+                                       for start in range(0, len(seeds), size)))
+        records = np.concatenate(blocks, axis=1).view(np.recarray)
+        runs = _traces(label, seeds, records, steps[0], np.concatenate(stopped))
+        traces += runs
+        aggregates[label] = aggregate_traces(records, np.array([t.records.size for t in runs]))
+    return ExperimentResult(traces=traces, aggregates=aggregates, config=config)
 
 
 # ----------------------------------------------------------------------
@@ -866,20 +867,3 @@ def write_json(path, obj) -> Path:
         fh.write("\n")
     return path
 
-
-def read_traces_csv(path) -> list[Trace]:
-    """Parse a trace CSV back into Trace objects (inverse of emit)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != CSV_COLUMNS:
-        raise ValueError(f"unexpected header in {path}")
-    by_run: dict[str, list] = {}
-    for row in rows[1:]:
-        by_run.setdefault(row[0], []).append(row)
-    traces = []
-    for run_id, run_rows in by_run.items():
-        _, method, seed, *_, status = run_rows[0]
-        values = [[float(v) if v else math.nan for v in row[3:-1]] for row in run_rows]
-        records = np.rec.fromarrays(np.array(values).T, dtype=RECORD_DTYPE)
-        traces.append(Trace(run_id, method, int(seed), records, status))
-    return sorted(traces, key=lambda t: (t.method, t.seed))

@@ -416,6 +416,49 @@ class TestConfigThatDoesNotFitItsObjective:
         assert exc.value.code == f"memgrad: {path}: {message}"
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def poly_bound_config(tmp_path, memory):
+        """A simulate config whose mg method has the given memory and whose
+        poly_continuous bound declares p = 2, and the method's label."""
+        label = harness._method_label("mg", memory)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": {"name": "quadratic_diag", "params": {"coeffs": [0.5, 0.5]}},
+            "methods": [{"name": "mg", "params": memory}],
+            "run": {"kind": "simulate", "t_end": 1.0, "h": 0.01, "x0": [1.0, 1.0],
+                    "n_seeds": 2, "record_stride": 10},
+            "bounds": [{"kind": "poly_continuous", "method": label,
+                        "params": {"p": 2.0, "d": 2, "dist2": 2.0}}]}))
+        return path, label
+
+    @pytest.mark.parametrize("memory, has", [
+        ({"memory": "quadratic"}, "polynomial(3.0)"),
+        ({"memory": "decaying"}, "decaying"),
+    ], ids=["degree-3", "decaying"])
+    def test_poly_bound_of_another_memory_names_the_path(self, tmp_path, monkeypatch, memory,
+                                                         has):
+        def integrate_paths(*args, **kwargs):
+            pytest.fail("a run started")
+
+        monkeypatch.setattr(continuum, "integrate_paths", integrate_paths)
+        path, label = self.poly_bound_config(tmp_path, memory)
+        ExperimentConfig.from_file(path)  # it loads
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == (
+            f"memgrad: {path}: bounds: poly_continuous on {label}: p = 2.0 needs polynomial "
+            f"memory of degree 2.0, but the method's memory is {has}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("memory", [{"memory": "linear"},
+                                        {"memory": "polynomial", "memory_param": 2.0}],
+                             ids=["linear", "polynomial-2"])
+    def test_poly_bound_of_its_memory_degree_runs(self, tmp_path, capsys, memory):
+        path, label = self.poly_bound_config(tmp_path, memory)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "aggregates.csv").exists()
+        assert f"bound poly_continuous on {label}: ok (checked=" in capsys.readouterr().out
+
     def test_seed_override_out_of_range_names_the_path(self, optimize_config):
         path, out = optimize_config
         with pytest.raises(SystemExit) as exc:

@@ -30,7 +30,6 @@ from memgrad.harness import (
     build_objective,
     check_bounds,
     emit,
-    read_traces_csv,
     run_experiment,
 )
 from memgrad.theory import BOUND_KINDS, BoundSpec
@@ -1049,6 +1048,36 @@ def reference_aggregates(traces) -> dict[str, dict[str, np.ndarray]]:
     return out
 
 
+def record_block(traces):
+    """The (R, n) record block of one method's traces in seed order, as the
+    executors return it, and each trace's record count: column i holds the
+    i-th trace's records, every column the index and time of the longest,
+    and +inf in each stat past a trace's records, where a run's overflowing
+    records lie."""
+    counts = np.array([t.records.size for t in traces])
+    longest = traces[int(counts.argmax())].records
+    records = np.recarray((counts.max(), len(traces)), dtype=RECORD_DTYPE)
+    records.index, records.time = longest.index[:, None], longest.time[:, None]
+    for name in STATS:
+        records[name] = np.inf
+    for col, trace in enumerate(traces):
+        records[:trace.records.size, col] = trace.records
+    return records, counts
+
+
+def assert_aggregates_match_reference(aggregates, traces):
+    """aggregates equal reference_aggregates(traces) bit for bit; a method
+    whose runs have no records has an empty array."""
+    expected = reference_aggregates(traces)
+    assert set(expected) <= set(aggregates)
+    for method, agg in aggregates.items():
+        assert agg.dtype == AGGREGATE_DTYPE
+        columns = expected.get(method, {name: [] for name in AGGREGATE_DTYPE.names})
+        for name in AGGREGATE_DTYPE.names:
+            want = np.asarray(columns[name], dtype=AGGREGATE_DTYPE[name])
+            assert agg[name].tobytes() == want.tobytes(), (method, name)
+
+
 class TestAggregation:
     def _synthetic_traces(self):
         rng = np.random.default_rng(3)
@@ -1065,7 +1094,7 @@ class TestAggregation:
 
     def test_mean_and_ci_against_reference(self):
         traces = self._synthetic_traces()
-        agg = aggregate_traces(traces)["m"]
+        agg = aggregate_traces(*record_block(traces))
         for pos, idx in enumerate(agg.index):
             vals = np.array([t.records[pos].f_gap for t in traces])
             np.testing.assert_allclose(agg.f_gap_mean[pos], vals.mean(), atol=1e-12)
@@ -1082,10 +1111,12 @@ class TestAggregation:
                                     for i in range(n)])
             traces.append(Trace(run_id=f"m|seed={seed}", method="m", seed=seed,
                                 records=records, status=f"diverged@{n}"))
-        traces += run_experiment(small_config(
+        nan_gap = run_experiment(small_config(
             problem={"name": "constant_field", "params": {"c": [1.0, -2.0]}},
-            methods=[{"name": "sgd", "params": {"eta": 0.1}}])).traces
-        aggregates = aggregate_traces(traces)
+            methods=[{"name": "sgd", "params": {"eta": 0.1}}]))
+        ordered = sorted(traces, key=lambda t: t.seed)
+        aggregates = {"m": aggregate_traces(*record_block(ordered)), **nan_gap.aggregates}
+        traces += nan_gap.traces
         expected = reference_aggregates(traces)
         assert sorted(aggregates) == sorted(expected) == ["m", "sgd(eta=0.1)"]
         assert np.isnan(aggregates["sgd(eta=0.1)"].f_gap_mean).all()
@@ -1120,7 +1151,7 @@ class TestAggregation:
                   for seed in range(2)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            agg = aggregate_traces(traces)["m"]
+            agg = aggregate_traces(*record_block(traces))
         assert agg.f_gap_mean.tolist() == [1e308]
         assert agg.f_gap_ci.tolist() == [0.0]
         expected = reference_aggregates(traces)["m"]
@@ -1129,9 +1160,54 @@ class TestAggregation:
 
     def test_single_run_has_zero_interval(self):
         traces = self._synthetic_traces()[:1]
-        agg = aggregate_traces(traces)["m"]
+        agg = aggregate_traces(*record_block(traces))
         assert np.all(agg.f_gap_ci == 0.0)
         assert np.all(agg.n_runs == 1)
+
+    @pytest.mark.parametrize("batch", [
+        # Seeds whose iterates or records overflow at different steps.
+        {"problem": {"name": "quartic_2d", "noise": {"kind": "gaussian", "sigma": 250.0}},
+         "methods": [{"name": "sgd", "params": {"eta": 0.01}}], "master_seed": 0,
+         "run": {"kind": "optimize", "iterations": 150, "x0": [0.0, 0.0], "n_seeds": 6,
+                 "record_stride": 4}},
+        # test_ci_of_overflowing_spread_is_finite's paths, whose std overflows.
+        {"problem": {"name": "quadratic_diag", "params": {"coeffs": [1.5, 1.5]}},
+         "methods": [{"name": "hb_ode", "params": {"viscosity": 0.0, "sigma": 1.0}}],
+         "run": {"kind": "simulate", "t_end": 1201.0, "h": 1.0, "eps_start": 1.0,
+                 "x0": [0.0, 0.0], "n_seeds": 6, "record_stride": 1}},
+        # f(x0) overflows: every run ends diverged@0 with no records.
+        {"problem": {"name": "quartic_2d"}, "methods": [{"name": "sgd", "params": {"eta": 0.1}}],
+         "run": {"kind": "optimize", "iterations": 5, "x0": [1e80, 0.0], "n_seeds": 3}},
+        {"problem": {"name": "constant_field", "params": {"c": [1.0, -2.0]},
+                     "noise": {"kind": "gaussian", "sigma": 0.1}},
+         "run": dict(SMALL["run"], n_seeds=5)},
+        {"problem": {"name": "logistic_synthetic", "params": {"n": 50, "dim": 4, "seed": 0},
+                     "noise": {"kind": "finite_sum"}},
+         "methods": [{"name": "sgd", "params": {"eta": 0.5}},
+                     {"name": "adam", "params": {"eta": 0.05}}],
+         "run": {"kind": "optimize", "iterations": 40, "x0": [0.5] * 4, "n_seeds": 5,
+                 "record_stride": 3}},
+    ], ids=["quartic-sigma-250", "overflowing-paths", "diverged-at-0", "constant-field",
+            "finite-sum-logistic"])
+    def test_aggregates_hold_across_groupings(self, monkeypatch, batch):
+        # A method's group blocks join in seed order, whatever the number of
+        # seeds per group (None: STEP_BLOCK's default, one group).
+        cfg = small_config(**batch)
+        runs = []
+        for per_group in (None, 1, 2, 3):
+            with monkeypatch.context() as patch, warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if per_group is not None:
+                    patch.setattr(harness, "STEP_BLOCK", per_group * len(cfg.run["x0"]))
+                result = run_experiment(cfg)
+            assert [(t.method, t.seed) for t in result.traces] == sorted(
+                (label, seed) for label, _, _ in cfg.expanded_methods()
+                for seed in range(cfg.run["n_seeds"]))
+            assert_aggregates_match_reference(result.aggregates, result.traces)
+            runs.append([(t.run_id, t.status, t.records.tobytes()) for t in result.traces])
+        # Grouping moves no bits of an elementwise oracle's records.
+        if cfg.problem["name"] != "logistic_synthetic":
+            assert all(run == runs[0] for run in runs)
 
 
 class TestBoundChecks:
@@ -1213,16 +1289,16 @@ class TestBoundChecks:
     def test_optimize_with_a_bound_aggregates_once(self, monkeypatch):
         calls = []
 
-        def counted(traces):
-            calls.append(len(traces))
-            return aggregate_traces(traces)
+        def counted(records, counts):
+            calls.append(len(counts))
+            return aggregate_traces(records, counts)
 
         monkeypatch.setattr(harness, "aggregate_traces", counted)
         cfg = default_verify_config()
         result = run_experiment(cfg)
         (report,) = harness.check_config_bounds(cfg, result.aggregates)
         assert report.status == "ok" and report.n_checked > 0
-        assert calls == [len(result.traces)]
+        assert calls == [5, 5, 5, 5] == [cfg.run["n_seeds"]] * len(cfg.expanded_methods())
 
 
 def reference_check_bounds(agg, bound, method) -> harness.BoundCheckReport:
@@ -1378,14 +1454,32 @@ def reference_result_json(result) -> str:
                       indent=2, sort_keys=True) + "\n"
 
 
+def parsed_traces(path) -> list[Trace]:
+    """traces.csv parsed with csv.DictReader into one Trace per run, in file
+    order; an empty float field is NaN."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == harness.CSV_COLUMNS
+        by_run = {}
+        for row in reader:
+            by_run.setdefault(row["run_id"], []).append(row)
+    return [Trace(run_id, rows[0]["method"], int(rows[0]["seed"]),
+                  make_records([(int(row["index"]), *(float(row[name] or "nan")
+                                                      for name in RECORD_DTYPE.names[1:]))
+                                for row in rows]),
+                  rows[0]["status"])
+            for run_id, rows in by_run.items()]
+
+
 class TestEmission:
     def test_aggregates_csv_matches_a_row_by_row_writer(self, tmp_path):
         # Labels with two params carry a comma; constant_field's f_gap is NaN.
         cfg = small_config()
-        traces = run_experiment(cfg).traces + run_experiment(small_config(
+        first, second = run_experiment(cfg), run_experiment(small_config(
             problem={"name": "constant_field", "params": {"c": [1.0, -2.0]}},
-            methods=[{"name": "adam", "params": {"eta": 0.1, "beta1": 0.5}}])).traces
-        aggregates = aggregate_traces(traces)
+            methods=[{"name": "adam", "params": {"eta": 0.1, "beta1": 0.5}}]))
+        traces = first.traces + second.traces
+        aggregates = {**first.aggregates, **second.aggregates}
         emit(ExperimentResult(traces, aggregates, cfg), tmp_path)
         text = (tmp_path / "aggregates.csv").read_text()
         assert text == reference_aggregates_csv(aggregates)
@@ -1423,8 +1517,7 @@ class TestEmission:
     def test_three_records_three_rows(self, tmp_path):
         records = make_records([(i, float(i), 0.5 / (i + 1), 1.0, 0.1) for i in range(3)])
         tr = Trace(run_id="m|seed=0", method="m", seed=0, records=records)
-        result = ExperimentResult(traces=[tr], aggregates=aggregate_traces([tr]),
-                                  config=small_config())
+        result = ExperimentResult(traces=[tr], aggregates={}, config=small_config())
         emit(result, tmp_path)
         lines = (tmp_path / "traces.csv").read_text().strip().split("\n")
         assert len(lines) == 4
@@ -1433,13 +1526,12 @@ class TestEmission:
         cfg = small_config()
         result = run_experiment(cfg)
         emit(result, tmp_path)
-        parsed = read_traces_csv(tmp_path / "traces.csv")
-        again = aggregate_traces(parsed)
-        for method, agg in result.aggregates.items():
-            other = again[method]
-            np.testing.assert_array_equal(agg.index, other.index)
-            np.testing.assert_allclose(agg.f_gap_mean, other.f_gap_mean, atol=1e-12)
-            np.testing.assert_allclose(agg.f_gap_ci, other.f_gap_ci, atol=1e-12)
+        again = reference_aggregates(parsed_traces(tmp_path / "traces.csv"))
+        assert sorted(again) == sorted(result.aggregates)
+        rebuilt = {method: np.rec.fromarrays([columns[name] for name in AGGREGATE_DTYPE.names],
+                                             dtype=AGGREGATE_DTYPE)
+                   for method, columns in again.items()}
+        assert (tmp_path / "aggregates.csv").read_text() == reference_aggregates_csv(rebuilt)
 
     def test_read_back_gives_every_column_exactly(self, tmp_path):
         # A diverged@k run, completed runs, and constant_field's NaN f_gap.
@@ -1458,10 +1550,10 @@ class TestEmission:
         empty = Trace("hb|seed=9", "hb", 9, make_records([]), "diverged@0")
         odd = Trace("sgd|seed=9", "sgd", 9, make_records(ODD_RECORDS), "diverged@3")
         written = traces + [empty, odd]
-        emit(harness.ExperimentResult(written, aggregate_traces(traces), diverging.config),
-             tmp_path)
+        aggregates = {**diverging.aggregates, **nan_gap.aggregates}
+        emit(harness.ExperimentResult(written, aggregates, diverging.config), tmp_path)
         assert (tmp_path / "traces.csv").read_text() == reference_traces_csv(written)
-        parsed = read_traces_csv(tmp_path / "traces.csv")
+        parsed = parsed_traces(tmp_path / "traces.csv")
         assert len(parsed) == len(traces) + 1
         for got, want in zip(parsed, sorted(traces + [odd], key=lambda t: (t.method, t.seed))):
             assert (got.run_id, got.method, got.seed, got.status) == \
@@ -1493,7 +1585,8 @@ class TestEmission:
         empty = Trace("hb|seed=9", "hb", 9, make_records([]), "diverged@0")
         odd = Trace("sgd|seed=9", "sgd", 9, make_records(ODD_RECORDS), "diverged@3")
         traces = diverging.traces + nan_gap.traces + [empty]
-        result = ExperimentResult(traces + [odd], aggregate_traces(traces), diverging.config)
+        result = ExperimentResult(traces + [odd], {**diverging.aggregates, **nan_gap.aggregates},
+                                  diverging.config)
         emit(result, tmp_path, formats=("json",))
         text = (tmp_path / "result.json").read_text()
         assert text == reference_result_json(result)
@@ -1538,7 +1631,7 @@ class TestEmission:
         assert len(result.traces) == 4
         assert all(t.status == "completed" for t in result.traces)
         emit(result, tmp_path)
-        parsed = read_traces_csv(tmp_path / "traces.csv")
+        parsed = parsed_traces(tmp_path / "traces.csv")
         assert len(parsed) == 4
         times = [r.time for r in parsed[0].records]
         assert times == sorted(times)
